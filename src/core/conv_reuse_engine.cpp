@@ -15,39 +15,105 @@ ConvReuseEngine::ConvReuseEngine(MCache &cache, int sig_bits,
 {
 }
 
-ConvReuseEngine::ConvReuseEngine(DetectionFrontend &frontend, int sig_bits)
-    : frontend_(frontend, sig_bits, "ConvReuseEngine")
+ConvReuseEngine::ConvReuseEngine(DetectionFrontend &frontend, int sig_bits,
+                                 ConvLanes *lanes)
+    : frontend_(frontend, sig_bits, "ConvReuseEngine"), lanes_(lanes)
 {
+}
+
+ConvLanes &
+ConvReuseEngine::lanes()
+{
+    if (lanes_)
+        return *lanes_;
+    if (!ownLanes_)
+        ownLanes_ = std::make_unique<ConvLanes>();
+    return *ownLanes_;
 }
 
 namespace {
 
+/** Channel-pass geometry shared by the three conv passes. */
+struct ConvGeometry
+{
+    int64_t n = 0;      ///< images
+    int64_t oh = 0;     ///< output height
+    int64_t ow = 0;     ///< output width
+    int64_t k = 0;      ///< square kernel side
+    int64_t d = 0;      ///< vector dimension k*k
+    int64_t v = 0;      ///< rows per channel pass (output positions)
+    int64_t groups = 0;
+    int64_t cinG = 0;   ///< input channels per group
+    int64_t coutG = 0;  ///< filters per group
+
+    ConvGeometry(const ConvSpec &spec, int64_t images, int64_t out_h,
+                 int64_t out_w)
+        : n(images), oh(out_h), ow(out_w), k(spec.kernelH), d(k * k),
+          v(out_h * out_w),
+          groups(spec.groups), cinG(spec.inChannels / spec.groups),
+          coutG(spec.outChannels / spec.groups)
+    {
+        if (spec.kernelW != k)
+            panic("ConvReuseEngine expects square kernels");
+    }
+
+    /** Channel passes of one layer call. */
+    int64_t passes() const { return n * groups * cinG; }
+
+    /**
+     * Forward-order index of pass (image b, group g, channel ic): the
+     * record's pass order, which every replay re-walks.
+     */
+    int64_t passIndex(int64_t b, int64_t g, int64_t ic) const
+    {
+        return (b * groups + g) * cinG + ic;
+    }
+
+    /** Baseline MACs of one channel pass (every filter, every row). */
+    uint64_t passMacs() const
+    {
+        return static_cast<uint64_t>(v) * static_cast<uint64_t>(coutG) *
+               static_cast<uint64_t>(d);
+    }
+
+    /** Kernel of filter `f` of group `g` against input channel `ic`. */
+    const float *kernel(const Tensor &weight, int64_t g, int64_t f,
+                        int64_t ic) const
+    {
+        return weight.data() + (((g * coutG + f) * cinG + ic) * k) * k;
+    }
+};
+
+/** Size a lane's patch buffer to (rows, dim); no-op in steady state. */
+void
+shapeRows(Tensor &rows, int64_t n, int64_t d)
+{
+    if (rows.rank() != 2 || rows.dim(0) != n || rows.dim(1) != d)
+        rows = Tensor({n, d});
+}
+
 /**
  * One filter pass over rows [r0, r1): HIT vectors fetch the owner's
- * dot product from the runtime's arena-backed data plane (version
- * slot `ver`), misses compute, MAU rows deposit. Returns the MACs
- * skipped. The runtime guarantees rows arrive in stream order per
- * filter, so every HIT's owner (an earlier MAU row) has already
- * deposited; each filter owns its version slot exclusively for the
- * whole channel pass, which is what makes the plane's unsynchronized
- * access race-free (see pass_arena.hpp) — the per-shard MCACHE locks
- * this path used to take millions of times per layer are gone.
+ * dot product from the data plane (version slot `ver`), misses
+ * compute, MAU rows deposit. Returns the MACs skipped. Rows arrive in
+ * stream order per filter, so every HIT's owner (an earlier MAU row)
+ * has already deposited; a filter owns its version slot exclusively
+ * for the whole channel pass, which is what makes the plane's
+ * unsynchronized access race-free (see pass_arena.hpp).
  */
 uint64_t
 filterSegment(PassDataPlane &plane, const Tensor &rows,
-              const std::vector<McacheResult> &row_results,
-              const float *w, int ver, int64_t r0, int64_t r1, int64_t d,
-              float *out_base)
+              const McacheResult *row_results, const float *w, int ver,
+              int64_t r0, int64_t r1, int64_t d, float *out_base)
 {
     uint64_t skipped = 0;
     for (int64_t i = r0; i < r1; ++i) {
-        const McacheResult &mr = row_results[static_cast<size_t>(i)];
+        const McacheResult &mr = row_results[i];
         // Hide the next row's data-plane latency behind this row's
-        // dot product (entry ids jump around the arena, so the
+        // dot product (entry ids jump around the plane, so the
         // hardware stride prefetcher cannot see this pattern).
         if (i + 1 < r1)
-            plane.prefetch(row_results[static_cast<size_t>(i + 1)].entryId,
-                           ver);
+            plane.prefetch(row_results[i + 1].entryId, ver);
         float val;
         if (mr.outcome == McacheOutcome::Hit &&
             plane.readIfValid(mr.entryId, ver, val)) {
@@ -68,22 +134,19 @@ filterSegment(PassDataPlane &plane, const Tensor &rows,
 }
 
 /**
- * One backward filter segment over rows [r0, r1): fill the filter's
- * grad-column rows. A row that computed forward multiplies its output
- * gradient into the kernel; a forward-HIT row copies its owner's
- * already-filled row (§III-C2 — the owner is an earlier row of the
- * same pass, so per-filter stream order makes the copy safe). Returns
- * the MACs skipped.
+ * Fill one filter's grad column: a row that computed forward
+ * multiplies its output gradient into the kernel; a forward-HIT row
+ * copies its owner's already-filled row (§III-C2 — the owner is an
+ * earlier row of the same pass). Returns the MACs skipped.
  */
 uint64_t
-backwardSegment(const std::vector<int64_t> &owner, const float *go,
-                const float *w, float *col, int64_t r0, int64_t r1,
-                int64_t d)
+gradColumn(const std::vector<int64_t> &owner, const float *go,
+           const float *w, float *col, int64_t v, int64_t d)
 {
     const kernels::KernelOps &k = kernels::ops();
     uint64_t skipped = 0;
-    int64_t r = r0;
-    while (r < r1) {
+    int64_t r = 0;
+    while (r < v) {
         const int64_t o = owner[static_cast<size_t>(r)];
         if (o == r) {
             k.scaleSpan(col + r * d, go[r], w, d);
@@ -97,7 +160,7 @@ backwardSegment(const std::vector<int64_t> &owner, const float *go,
         // the index sets are disjoint and o + len <= r) — the ranges
         // never overlap.
         int64_t e = r + 1;
-        while (e < r1 && owner[static_cast<size_t>(e)] != e &&
+        while (e < v && owner[static_cast<size_t>(e)] != e &&
                owner[static_cast<size_t>(e)] ==
                    owner[static_cast<size_t>(e - 1)] + 1)
             ++e;
@@ -109,21 +172,54 @@ backwardSegment(const std::vector<int64_t> &owner, const float *go,
 }
 
 /**
- * One weight-gradient group-sum segment over rows [r0, r1) of one
- * filter: fold each row's output gradient into its owner's group
- * accumulator (§III-C2 sum-then-multiply, Eq. 1). An owner slot
- * starts as a bit-exact copy of its own gradient, so singleton groups
- * reproduce the exact per-row contribution; HIT rows accumulate with
- * adds. Stream order per filter guarantees the owner's copy lands
- * before any of its hits fold in. Returns the MACs the filter's
- * deferred outer products will skip.
+ * Scatter one filter's grad column into its input-channel plane in
+ * the exact path's accumulation order — output positions ascending,
+ * kernel rows ascending — so that with filters scattered in ascending
+ * order a zero-hit replay reproduces conv2dBackwardInput bit for bit.
+ * Each kernel row clips to one contiguous in-bounds window
+ * (span_batcher.hpp), so the scatter is one addSpan per (position,
+ * kernel row): elementwise adds in the per-element loop's order.
+ */
+void
+scatterGradColumn(const float *col, const ConvSpec &spec, int64_t oh,
+                  int64_t ow, int64_t in_h, int64_t in_w, float *gin)
+{
+    const kernels::KernelOps &kn = kernels::ops();
+    const int64_t k = spec.kernelH;
+    const int64_t d = k * k;
+    int64_t r = 0;
+    for (int64_t y = 0; y < oh; ++y) {
+        const int64_t iy0 = y * spec.stride - spec.pad;
+        for (int64_t x = 0; x < ow; ++x, ++r) {
+            const KxSpan kxs = kxSpan(x, spec.stride, spec.pad, k, in_w);
+            if (kxs.kx0 >= kxs.kx1)
+                continue;
+            const float *src = col + r * d + kxs.kx0;
+            const int64_t ix0 = x * spec.stride - spec.pad + kxs.kx0;
+            for (int64_t ky = 0; ky < k; ++ky) {
+                const int64_t iy = iy0 + ky;
+                if (iy < 0 || iy >= in_h)
+                    continue;
+                kn.addSpan(gin + iy * in_w + ix0, src + ky * k,
+                           kxs.kx1 - kxs.kx0);
+            }
+        }
+    }
+}
+
+/**
+ * Fold each row's output gradient into its owner's group sum (§III-C2
+ * sum-then-multiply, Eq. 1). An owner slot starts as a bit-exact copy
+ * of its own gradient, so singleton groups reproduce the exact per-row
+ * contribution; HIT rows accumulate with adds. Returns the MACs the
+ * filter's deferred outer products skip.
  */
 uint64_t
-weightGradSumSegment(const std::vector<int64_t> &owner, const float *go,
-                     float *gcol, int64_t r0, int64_t r1, int64_t d)
+groupSums(const std::vector<int64_t> &owner, const float *go, float *gcol,
+          int64_t v, int64_t d)
 {
     uint64_t skipped = 0;
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < v; ++r) {
         const int64_t o = owner[static_cast<size_t>(r)];
         if (o == r) {
             gcol[r] = go[r];
@@ -135,13 +231,36 @@ weightGradSumSegment(const std::vector<int64_t> &owner, const float *go,
     return skipped;
 }
 
+/** The recorded pass of (b, g, ic), checked against the geometry. */
+const SignatureRecord::Pass &
+recordedPass(const SignatureRecord &record, const ConvGeometry &geo,
+             int64_t b, int64_t g, int64_t ic)
+{
+    const SignatureRecord::Pass &pass =
+        record.pass(geo.passIndex(b, g, ic));
+    if (pass.rows != geo.v)
+        panic("recorded pass holds ", pass.rows, " rows, gradient has ",
+              geo.v);
+    return pass;
+}
+
+void
+checkRecord(const SignatureRecord &record, const ConvGeometry &geo,
+            const char *what)
+{
+    if (record.passCount() != geo.passes())
+        panic("record holds ", record.passCount(), " passes, ", what,
+              " needs ", geo.passes(),
+              " — was forward captured with the same layer geometry?");
+}
+
 } // namespace
 
-// Declared in the header (shared with the planner's cross-layer
-// prefetch and the pipeline's fused extraction): the Fig. 7a
-// per-channel vector extraction, routed through the extractPatches
-// kernel (span-clipped copies — bit-identical to the elementwise
-// loop it replaced, since extraction moves values without arithmetic).
+// Declared in the header (shared with the pipeline's fused
+// extraction): the Fig. 7a per-channel vector extraction, routed
+// through the extractPatches kernel (span-clipped copies —
+// bit-identical to the elementwise loop it replaced, since extraction
+// moves values without arithmetic).
 void
 extractChannelPatchRows(const Tensor &input, const ConvSpec &spec,
                         int64_t b, int64_t c, int64_t ow, int64_t r0,
@@ -168,212 +287,126 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
 {
     if (input.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and weight");
-    const int64_t n = input.dim(0);
-    const int64_t oh = spec.outH(input.dim(2));
-    const int64_t ow = spec.outW(input.dim(3));
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
+    const ConvGeometry geo(spec, input.dim(0), spec.outH(input.dim(2)),
+                           spec.outW(input.dim(3)));
+    const int bits = frontend_.signatureBits();
+    DetectionFrontend &fe = *frontend_;
 
-    Tensor out({n, spec.outChannels, oh, ow});
+    Tensor out({geo.n, spec.outChannels, geo.oh, geo.ow});
     if (bias.numel()) {
-        for (int64_t b = 0; b < n; ++b)
+        for (int64_t b = 0; b < geo.n; ++b)
             for (int64_t oc = 0; oc < spec.outChannels; ++oc)
-                for (int64_t i = 0; i < v; ++i)
+                for (int64_t i = 0; i < geo.v; ++i)
                     out[out.offset4(b, oc, 0, 0) + i] = bias[oc];
     }
 
-    // A bound plan slot provides the persistent runtime, the prebuilt
-    // pass order, and the preallocated double buffer; a slot whose
-    // compiled geometry does not match this call runs unplanned (the
-    // schedule is the only thing planning changes).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 static_cast<int64_t>(plan->order.size()) !=
-                     n * spec.groups * cin_g))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
-    // Every channel pass of this layer has v rows, so the overlap
-    // decision (Auto resolves from threads x rows) is one call,
-    // matching what the runtime will resolve per pass internally.
-    const bool overlapped = rt.overlappedFor(v);
-    if (record) {
-        record->clear();
-        if (plan)
-            record->reservePasses(
-                static_cast<int64_t>(plan->order.size()));
-    }
-
-    // HIT forwarding runs on the runtime's arena-backed data plane
-    // instead of the locked MCACHE data plane: same validity
-    // semantics, but plain unsynchronized access — the scheduler's
-    // version-slot discipline already guarantees exclusive cells (see
-    // pass_arena.hpp). The plane is host scratch memory, not a model
-    // of the MCACHE's version SRAM (the cycle model still charges the
-    // Fig. 11 version constraint), so it affords one slot PER FILTER:
-    // forwarding only ever reads a value the same filter deposited,
-    // unique slots make that true with every filter of a channel pass
-    // in flight at once — no filter groups, no between-group
-    // invalidation barriers.
-    PassDataPlane &plane = rt.dataPlane();
-    plane.configure(frontend_->entries(), static_cast<int>(cout_g));
-
-    // Weight pointer of one filter pass: filter `of` of group g
-    // against input channel c.
-    const auto weight_of = [&](int64_t g, int64_t of, int64_t ic) {
-        const int64_t oc = g * cout_g + of;
-        return weight.data() + ((oc * cin_g + ic) * k) * k;
-    };
-
-    // Channel passes in execution order (also the record's pass
-    // order, which the backward replays re-walk). Grouped / depthwise
-    // convolutions enumerate (group, channel-within-group) pairs; the
-    // per-pass descriptor below is the same for every grouping. A
-    // plan slot carries the order prebuilt.
-    using PassId = ConvPlanSlot::PassId;
-    std::vector<PassId> local_order;
-    if (!plan) {
-        local_order.reserve(static_cast<size_t>(n * spec.groups * cin_g));
-        for (int64_t b = 0; b < n; ++b)
-            for (int64_t g = 0; g < spec.groups; ++g)
-                for (int64_t ic = 0; ic < cin_g; ++ic)
-                    local_order.push_back({b, g, ic});
-    }
-    const std::vector<PassId> &order = plan ? plan->order : local_order;
-
-    // Double-buffered extraction tensors (cross-channel overlap): the
-    // overlapped path extracts and hashes pass p+1 into the other
-    // buffer while pass p's trailing filter groups drain. The
-    // run-then-filter path reuses one buffer for every pass. A plan
-    // slot carries both buffers preallocated.
-    Tensor local_bufs[2];
-    Tensor *bufs = plan ? plan->bufs : local_bufs;
-    if (!plan) {
-        bufs[0] = Tensor({v, d});
-        if (overlapped)
-            bufs[1] = Tensor({v, d});
-    }
-    // Single-touch fusion: a pass's extraction rides the detection
-    // pipeline as a RowFiller — each projection block extracts its
-    // row range immediately before hashing it, so a block's patches
-    // are still cache-hot when the RPQ projection reads them (and the
-    // filler fans out with the hash blocks instead of running as a
-    // serial pre-pass on the driving thread).
-    const auto filler = [&input, &spec, cin_g, ow](const PassId &p,
-                                                   Tensor &rows) {
-        return RowFiller([&input, &spec, &rows, cin_g, ow,
-                          p](int64_t r0, int64_t r1) {
-            extractChannelPatchRows(input, spec, p.b, p.g * cin_g + p.ic,
-                                    ow, r0, r1, rows);
-        });
-    };
-
-    stats = ReuseStats{};
-    std::unique_ptr<DetectionHashJob> job;
-    const Tensor *rows0 = &bufs[0];
-    if (overlapped && !order.empty()) {
-        if (plan && plan->prefetched && plan->prefetched->rowCount() == v &&
-            plan->prefetched->vectorDim() == d &&
-            plan->prefetched->signatureBits() ==
-                frontend_.signatureBits()) {
-            // Cross-layer overlap (planned path): the predecessor
-            // layer already extracted and hashed this layer's first
-            // channel pass while its trailing filter ranges drained —
-            // consume the in-flight job as pass 0. The rows it hashed
-            // live in the slot's prefetch buffer.
-            job = std::move(plan->prefetched);
-            rows0 = &plan->prefetchRows;
-        } else {
-            if (plan)
-                plan->prefetched.reset();
-            job = frontend_->beginHashStream(bufs[0],
-                                             frontend_.signatureBits(),
-                                             filler(order[0], bufs[0]));
-        }
-    }
-
-    for (size_t pi = 0; pi < order.size(); ++pi) {
-        const PassId p = order[pi];
-        // Serial path: single buffer, filled blockwise by the fused
-        // filler as the pass hashes it (no eager extraction pass).
-        const Tensor *rows_p =
-            overlapped ? (pi == 0 ? rows0 : &bufs[pi & 1]) : &bufs[0];
-        const Tensor &rows = *rows_p;
-
-        // Pass-start clear of the data plane (the MCACHE tag plane is
-        // cleared by the detection pass itself). Driving thread, no
-        // segments in flight yet — quiescent by construction.
-        plane.invalidateAll();
-
-        // One FilterPassSet per channel pass: cout_g filter passes,
-        // ALL in flight (each filter owns data-plane slot f outright,
-        // so no slot is ever recycled within a pass — the runtime
-        // streams the whole pass through its chains with no group
-        // barriers).
-        const std::vector<McacheResult> &row_results = rt.rowResults();
-        ReuseRuntime::FilterPassSet set;
-        set.rows = v;
-        set.filters = cout_g;
-        set.inFlight = cout_g;
-        set.segment = [&, p](int64_t f, int64_t r0, int64_t r1) {
-            return filterSegment(
-                plane, rows, row_results, weight_of(p.g, f, p.ic),
-                static_cast<int>(f), r0, r1, d,
-                out.data() + out.offset4(p.b, p.g * cout_g + f, 0, 0));
-        };
-        // Cross-channel overlap: begin hashing the next pass into the
-        // other buffer while this channel's chains drain — the fused
-        // filler extracts each block right before it hashes, on the
-        // pool, so the driving thread no longer pays a serial
-        // whole-channel extraction inside the overlap window. Hashing
-        // touches no MCACHE state, so it is safe beside the
-        // data-plane traffic of the in-flight filters.
-        std::unique_ptr<DetectionHashJob> next_job;
-        if (overlapped) {
-            set.onStreamDelivered = [&] {
-                if (pi + 1 < order.size()) {
-                    Tensor &next = bufs[(pi + 1) & 1];
-                    next_job = frontend_->beginHashStream(
-                        next, frontend_.signatureBits(),
-                        filler(order[pi + 1], next));
+    if (fe.passesIndependent()) {
+        // Lane path: every pass starts from a cleared cache, so the
+        // images are dealt to the lanes whole — an image's passes
+        // accumulate into its own output planes, in the same (group,
+        // channel) order as a serial run. Each lane probes its own
+        // MCACHE through the layer's read-only projection, and HIT
+        // forwarding runs on the lane's data plane with one version
+        // slot, invalidated per filter: a filter only ever reads what
+        // it deposited itself in this pass.
+        const DetectionFrontend::LaneView view =
+            fe.laneView(geo.v, geo.d, bits);
+        if (record)
+            record->resizePasses(geo.passes(), fe.dataVersions(),
+                                 fe.entries());
+        const int64_t entries = fe.entries();
+        stats = lanes().run(fe, geo.n, [&](ConvLane &lane, int64_t b) {
+            shapeRows(lane.rows, geo.v, geo.d);
+            lane.plane.configure(entries, 1);
+            lane.results.resize(static_cast<size_t>(geo.v));
+            for (int64_t g = 0; g < geo.groups; ++g) {
+                for (int64_t ic = 0; ic < geo.cinG; ++ic) {
+                    const int64_t c = g * geo.cinG + ic;
+                    // Single-touch fusion: each projection block
+                    // extracts its rows right before hashing them.
+                    const DetectionResult det = view.detect(
+                        *lane.cache, lane.rows,
+                        [&](int64_t r0, int64_t r1) {
+                            extractChannelPatchRows(input, spec, b, c,
+                                                    geo.ow, r0, r1,
+                                                    lane.rows);
+                        });
+                    if (record)
+                        record->capturePassAt(geo.passIndex(b, g, ic),
+                                              det, bits);
+                    for (int64_t i = 0; i < geo.v; ++i)
+                        lane.results[static_cast<size_t>(i)] = {
+                            det.hitmap.outcome(i), det.hitmap.entryId(i)};
+                    for (int64_t f = 0; f < geo.coutG; ++f) {
+                        lane.plane.invalidateAll();
+                        lane.stats.macsSkipped += filterSegment(
+                            lane.plane, lane.rows, lane.results.data(),
+                            geo.kernel(weight, g, f, ic), 0, 0, geo.v,
+                            geo.d,
+                            out.data() +
+                                out.offset4(b, g * geo.coutG + f, 0, 0));
+                    }
+                    lane.stats.mix += det.mix();
+                    ++lane.stats.channelPasses;
+                    lane.stats.macsTotal += geo.passMacs();
                 }
-            };
-        }
-        // Cross-layer overlap (planned path, producing side): on the
-        // pass that completes output channel 0 of image 0 — (image 0,
-        // group 0, last input channel) — the first drained chain
-        // covers filter 0, so the successor layer's first channel
-        // pass can extract and hash while this pass's remaining
-        // chains (and all later images') still drain.
-        if (plan && plan->prefetchNext &&
-            static_cast<int64_t>(pi) == plan->prefetchAfterPass) {
-            set.onChainDrained = [&](int64_t f0, int64_t f1) {
-                (void)f1;
-                if (f0 == 0)
-                    plan->prefetchNext(out);
-            };
-        }
+            }
+        });
+        return out;
+    }
 
-        rt.runFilterPasses(
-            overlapped
-                ? ReuseRuntime::StreamSource::hashed(*job, record)
-                : ReuseRuntime::StreamSource::live(rows, record,
-                                                   filler(p, bufs[0])),
-            set, stats);
-        if (overlapped)
-            job = std::move(next_job);
+    // Ordered path (persistent cache): a pass HITs on what earlier
+    // passes left behind, so passes run one after another on the
+    // driving thread, each through the runtime's scheduler — with a
+    // pool and overlap, the filters stream against the detection
+    // hand-off. A bound plan slot provides the persistent runtime; a
+    // slot compiled for other geometry runs unplanned.
+    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != geo.v ||
+                 plan->plan->vecDim != geo.d))
+        plan = nullptr;
+    std::optional<ReuseRuntime> local_rt;
+    ReuseRuntime &rt = plan ? *plan->runtime : local_rt.emplace(fe, bits);
+    if (record)
+        record->clear();
 
-        stats.macsTotal += static_cast<uint64_t>(v) *
-                           static_cast<uint64_t>(cout_g) *
-                           static_cast<uint64_t>(d);
+    // One version slot PER FILTER on the runtime's data plane: every
+    // filter of a pass may be in flight at once, and each owns its
+    // slot for the whole pass, so no slot is recycled within a pass
+    // and the pass needs no group barriers.
+    PassDataPlane &plane = rt.dataPlane();
+    plane.configure(fe.entries(), static_cast<int>(geo.coutG));
+    const std::vector<McacheResult> &row_results = rt.rowResults();
+    Tensor rows({geo.v, geo.d});
+    stats = ReuseStats{};
+    for (int64_t b = 0; b < geo.n; ++b) {
+        for (int64_t g = 0; g < geo.groups; ++g) {
+            for (int64_t ic = 0; ic < geo.cinG; ++ic) {
+                const int64_t c = g * geo.cinG + ic;
+                // Pass-start clear; no segments in flight yet.
+                plane.invalidateAll();
+                ReuseRuntime::FilterPassSet set;
+                set.rows = geo.v;
+                set.filters = geo.coutG;
+                set.inFlight = geo.coutG;
+                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
+                    return filterSegment(
+                        plane, rows, row_results.data(),
+                        geo.kernel(weight, g, f, ic), static_cast<int>(f),
+                        r0, r1, geo.d,
+                        out.data() +
+                            out.offset4(b, g * geo.coutG + f, 0, 0));
+                };
+                rt.runFilterPasses(
+                    ReuseRuntime::StreamSource::live(
+                        rows, record,
+                        [&, b, c](int64_t r0, int64_t r1) {
+                            extractChannelPatchRows(input, spec, b, c,
+                                                    geo.ow, r0, r1, rows);
+                        }),
+                    set, stats);
+                stats.macsTotal += geo.passMacs();
+            }
+        }
     }
     return out;
 }
@@ -382,170 +415,45 @@ Tensor
 ConvReuseEngine::backwardInput(const Tensor &gradOut, const Tensor &weight,
                                const ConvSpec &spec, int64_t in_h,
                                int64_t in_w, const SignatureRecord &record,
-                               ReuseStats &stats, ConvPlanSlot *plan)
+                               ReuseStats &stats)
 {
     if (gradOut.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 gradient and weight");
-    const int64_t n = gradOut.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
-    if (record.passCount() != n * spec.groups * cin_g)
-        panic("record holds ", record.passCount(),
-              " passes, backward needs ", n * spec.groups * cin_g,
-              " — was forward captured with the same layer geometry?");
-    // Backward keeps as many filters in flight as the forward pass
-    // kept data versions, one grad-column buffer per slot.
-    const int64_t slots =
-        std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
-                                               cout_g));
+    const ConvGeometry geo(spec, gradOut.dim(0), gradOut.dim(2),
+                           gradOut.dim(3));
+    checkRecord(record, geo, "backward");
+    Tensor grad_in({geo.n, spec.inChannels, in_h, in_w});
 
-    // Planned execution: persistent runtime plus preallocated
-    // grad-column slots and owner scratch (bind time sized them to
-    // this geometry; anything off runs unplanned).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 static_cast<int64_t>(plan->cols.size()) != slots ||
-                 (slots > 0 && plan->cols[0].size() !=
-                                   static_cast<size_t>(v * d))))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
-    Tensor grad_in({n, spec.inChannels, in_h, in_w});
-    stats = ReuseStats{};
-
-    const auto weight_of = [&](int64_t g, int64_t of, int64_t ic) {
-        const int64_t oc = g * cout_g + of;
-        return weight.data() + ((oc * cin_g + ic) * k) * k;
-    };
-
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
-    std::vector<std::vector<float>> local_cols;
-    if (!plan) {
-        local_cols.resize(static_cast<size_t>(slots));
-        for (auto &c : local_cols)
-            c.resize(static_cast<size_t>(v * d));
-    }
-    std::vector<std::vector<float>> &cols = plan ? plan->cols : local_cols;
-
-    int64_t pass_idx = 0;
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
+    // A replay never touches the MCACHE, so its passes are independent
+    // on any cache: the images are dealt to the lanes whole. Within a
+    // pass each filter fills the lane's grad column and scatters it
+    // before the next, so every input cell receives its adds in the
+    // exact path's (filter, position, kernel row) order.
+    stats = lanes().run(*frontend_, geo.n, [&](ConvLane &lane, int64_t b) {
+        lane.col.resize(static_cast<size_t>(geo.v * geo.d));
+        float *col = lane.col.data();
+        for (int64_t g = 0; g < geo.groups; ++g) {
+            for (int64_t ic = 0; ic < geo.cinG; ++ic) {
                 const SignatureRecord::Pass &pass =
-                    record.pass(pass_idx++);
-                if (pass.rows != v)
-                    panic("recorded pass holds ", pass.rows,
-                          " rows, gradient has ", v);
-                record.ownersOf(pass, owner);
-
-                stats.macsTotal += static_cast<uint64_t>(v) *
-                                   static_cast<uint64_t>(cout_g) *
-                                   static_cast<uint64_t>(d);
-
-                // One replayed FilterPassSet per channel pass
-                // (§III-C2): the grad-column fills consume the
-                // stream — every HIT's owner row is in an earlier
-                // (or the same) block, so per-filter stream order
-                // makes the copy source always filled first.
-                ReuseRuntime::FilterPassSet set;
-                set.rows = v;
-                set.filters = cout_g;
-                set.inFlight = slots;
-                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-                    return backwardSegment(
-                        owner,
+                    recordedPass(record, geo, b, g, ic);
+                record.ownersOf(pass, lane.owner);
+                float *gin = grad_in.data() +
+                             grad_in.offset4(b, g * geo.cinG + ic, 0, 0);
+                for (int64_t f = 0; f < geo.coutG; ++f) {
+                    lane.stats.macsSkipped += gradColumn(
+                        lane.owner,
                         gradOut.data() +
-                            gradOut.offset4(b, g * cout_g + f, 0, 0),
-                        weight_of(g, f, ic),
-                        cols[static_cast<size_t>(f % slots)].data(), r0,
-                        r1, d);
-                };
-                // Scatter the group's grad columns in the exact
-                // path's accumulation order — filters ascending,
-                // output positions ascending — so a zero-hit replay
-                // reproduces conv2dBackwardInput bit for bit. Each
-                // kernel row clips to one contiguous in-bounds
-                // column window (span_batcher.hpp), so the scatter
-                // runs as one addSpan per (position, kernel row) —
-                // elementwise adds, each cell accumulated in the
-                // same order as the per-element loop it replaces.
-                //
-                // The scatter fans out in BANDS of input rows: every
-                // gradient cell lives on exactly one input row iy, so
-                // a worker that owns iy in [a, z) executes precisely
-                // the adds landing in its band — writes are disjoint
-                // across workers, and each cell still receives its
-                // adds in (f, y, x, ky) order (filtering a sequence
-                // never reorders it), keeping the result bit-exact
-                // regardless of scheduling.
-                set.afterGroup = [&](int64_t f0, int64_t f1) {
-                    const kernels::KernelOps &kn = kernels::ops();
-                    float *gin_base =
-                        grad_in.data() +
-                        grad_in.offset4(b, g * cin_g + ic, 0, 0);
-                    ThreadPool *sp = rt.pool();
-                    const int64_t nbands =
-                        sp ? std::min<int64_t>(
-                                 in_h,
-                                 static_cast<int64_t>(sp->workers()) + 1)
-                           : 1;
-                    rt.parallelChains(nbands, [&](int64_t bi) {
-                        const int64_t a = bi * in_h / nbands;
-                        const int64_t z = (bi + 1) * in_h / nbands;
-                        for (int64_t f = f0; f < f1; ++f) {
-                            const float *col =
-                                cols[static_cast<size_t>(f % slots)]
-                                    .data();
-                            int64_t r = 0;
-                            for (int64_t y = 0; y < oh; ++y) {
-                                const int64_t iy0 =
-                                    y * spec.stride - spec.pad;
-                                if (iy0 >= z || iy0 + k <= a) {
-                                    r += ow; // window misses the band
-                                    continue;
-                                }
-                                for (int64_t x = 0; x < ow; ++x, ++r) {
-                                    const float *src = col + r * d;
-                                    const KxSpan kxs = kxSpan(
-                                        x, spec.stride, spec.pad, k,
-                                        in_w);
-                                    if (kxs.kx0 >= kxs.kx1)
-                                        continue;
-                                    const int64_t ix0 =
-                                        x * spec.stride - spec.pad +
-                                        kxs.kx0;
-                                    for (int64_t ky = 0; ky < k; ++ky) {
-                                        const int64_t iy = iy0 + ky;
-                                        if (iy < a || iy >= z)
-                                            continue;
-                                        kn.addSpan(
-                                            gin_base + iy * in_w + ix0,
-                                            src + ky * k + kxs.kx0,
-                                            kxs.kx1 - kxs.kx0);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                };
-
-                rt.runFilterPasses(
-                    ReuseRuntime::StreamSource::replay(pass), set,
-                    stats);
+                            gradOut.offset4(b, g * geo.coutG + f, 0, 0),
+                        geo.kernel(weight, g, f, ic), col, geo.v, geo.d);
+                    scatterGradColumn(col, spec, geo.oh, geo.ow, in_h,
+                                      in_w, gin);
+                }
+                lane.stats.mix += pass.mix;
+                ++lane.stats.channelPasses;
+                lane.stats.macsTotal += geo.passMacs();
             }
         }
-    }
+    });
     return grad_in;
 }
 
@@ -553,142 +461,54 @@ Tensor
 ConvReuseEngine::backwardWeights(const Tensor &input, const Tensor &gradOut,
                                  const ConvSpec &spec,
                                  const SignatureRecord &record,
-                                 ReuseStats &stats, ConvPlanSlot *plan)
+                                 ReuseStats &stats)
 {
     if (input.rank() != 4 || gradOut.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and gradient");
-    const int64_t n = input.dim(0);
-    const int64_t oh = gradOut.dim(2);
-    const int64_t ow = gradOut.dim(3);
-    const int64_t k = spec.kernelH;
-    if (spec.kernelW != k)
-        panic("ConvReuseEngine expects square kernels");
-    const int64_t d = k * k;
-    const int64_t v = oh * ow;
-    const int64_t cin_g = spec.inChannels / spec.groups;
-    const int64_t cout_g = spec.outChannels / spec.groups;
-    if (record.passCount() != n * spec.groups * cin_g)
-        panic("record holds ", record.passCount(),
-              " passes, weight gradient needs ", n * spec.groups * cin_g,
-              " — was forward captured with the same layer geometry?");
-    // Like backwardInput: as many filters in flight as the forward
-    // pass kept data versions, one group-sum buffer per slot.
-    const int64_t slots =
-        std::max<int64_t>(1, std::min<int64_t>(record.dataVersions(),
-                                               cout_g));
+    const ConvGeometry geo(spec, input.dim(0), gradOut.dim(2),
+                           gradOut.dim(3));
+    checkRecord(record, geo, "weight gradient");
+    Tensor grad_w({spec.outChannels, geo.cinG, geo.k, geo.k});
 
-    // Planned execution: persistent runtime plus the preallocated
-    // patch buffer and group-sum slots (see backwardInput).
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != v ||
-                 plan->plan->vecDim != d ||
-                 plan->dwRows.numel() != v * d ||
-                 static_cast<int64_t>(plan->gcols.size()) != slots ||
-                 (slots > 0 &&
-                  plan->gcols[0].size() != static_cast<size_t>(v))))
-        plan = nullptr;
-
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt =
-        plan ? *plan->runtime
-             : local_rt.emplace(*frontend_, frontend_.signatureBits());
-    Tensor grad_w({spec.outChannels, cin_g, k, k});
-    stats = ReuseStats{};
-
-    Tensor local_rows;
-    if (!plan)
-        local_rows = Tensor({v, d});
-    Tensor &rows = plan ? plan->dwRows : local_rows;
-    std::vector<int64_t> local_owner;
-    std::vector<int64_t> &owner = plan ? plan->owner : local_owner;
-    std::vector<std::vector<float>> local_gcols;
-    if (!plan) {
-        local_gcols.resize(static_cast<size_t>(slots));
-        for (auto &c : local_gcols)
-            c.resize(static_cast<size_t>(v));
-    }
-    std::vector<std::vector<float>> &gcols =
-        plan ? plan->gcols : local_gcols;
-
-    int64_t pass_idx = 0;
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < spec.groups; ++g) {
-            for (int64_t ic = 0; ic < cin_g; ++ic) {
+    // dW sums over images, so the lanes are dealt (group, input
+    // channel) columns instead: a column's grad_w rows belong to it
+    // alone, and the lane walks its images in order, so every weight
+    // element accumulates in conv2dBackwardWeight's (image, output
+    // position) order — owners ascending within a pass, one multiply
+    // per hit-group through the owner's re-extracted patch.
+    stats = lanes().run(
+        *frontend_, geo.groups * geo.cinG, [&](ConvLane &lane, int64_t gc) {
+            const kernels::KernelOps &kn = kernels::ops();
+            const int64_t g = gc / geo.cinG;
+            const int64_t ic = gc % geo.cinG;
+            shapeRows(lane.rows, geo.v, geo.d);
+            lane.gcol.resize(static_cast<size_t>(geo.v));
+            float *gcol = lane.gcol.data();
+            for (int64_t b = 0; b < geo.n; ++b) {
                 const SignatureRecord::Pass &pass =
-                    record.pass(pass_idx++);
-                if (pass.rows != v)
-                    panic("recorded pass holds ", pass.rows,
-                          " rows, gradient has ", v);
-                record.ownersOf(pass, owner);
-                // The owners' patches are the single representative
-                // each hit-group multiplies through. Replay streams
-                // never hash, so there is no pipeline to fuse the
-                // extraction into — instead it fans out over the
-                // worker pool in disjoint row bands (pure span
-                // copies, bit-identical in any order) rather than
-                // running as a serial pre-pass on the driving thread.
-                if (ThreadPool *xp = frontend_->workerPool()) {
-                    const int64_t nb = std::min<int64_t>(
-                        v, static_cast<int64_t>(xp->workers()) + 1);
-                    xp->parallelFor(nb, [&](int64_t bi) {
-                        extractChannelPatchRows(
-                            input, spec, b, g * cin_g + ic, ow,
-                            bi * v / nb, (bi + 1) * v / nb, rows);
-                    });
-                } else {
-                    extractChannelPatches(input, spec, b,
-                                          g * cin_g + ic, oh, ow, rows);
+                    recordedPass(record, geo, b, g, ic);
+                record.ownersOf(pass, lane.owner);
+                extractChannelPatches(input, spec, b, gc, geo.oh, geo.ow,
+                                      lane.rows);
+                for (int64_t f = 0; f < geo.coutG; ++f) {
+                    const int64_t oc = g * geo.coutG + f;
+                    lane.stats.macsSkipped += groupSums(
+                        lane.owner,
+                        gradOut.data() + gradOut.offset4(b, oc, 0, 0),
+                        gcol, geo.v, geo.d);
+                    float *gw =
+                        grad_w.data() + ((oc * geo.cinG + ic) * geo.k) * geo.k;
+                    for (int64_t r = 0; r < geo.v; ++r) {
+                        if (lane.owner[static_cast<size_t>(r)] == r)
+                            kn.axpy(gw, gcol[r],
+                                    lane.rows.data() + r * geo.d, geo.d);
+                    }
                 }
-
-                stats.macsTotal += static_cast<uint64_t>(v) *
-                                   static_cast<uint64_t>(cout_g) *
-                                   static_cast<uint64_t>(d);
-
-                // One replayed FilterPassSet per channel pass
-                // (§III-C2 sum-then-multiply, Eq. 1): the segments
-                // fold each row's output gradient into its owner's
-                // group accumulator on the stream; afterGroup then
-                // runs one multiply per group through the owner's
-                // patch, owners ascending, so a zero-hit replay
-                // accumulates each weight element in
-                // conv2dBackwardWeight's (batch, output-position)
-                // order. Filters write disjoint grad_w rows and fan
-                // out in parallel.
-                ReuseRuntime::FilterPassSet set;
-                set.rows = v;
-                set.filters = cout_g;
-                set.inFlight = slots;
-                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-                    return weightGradSumSegment(
-                        owner,
-                        gradOut.data() +
-                            gradOut.offset4(b, g * cout_g + f, 0, 0),
-                        gcols[static_cast<size_t>(f % slots)].data(), r0,
-                        r1, d);
-                };
-                set.afterGroup = [&](int64_t f0, int64_t f1) {
-                    const kernels::KernelOps &kn = kernels::ops();
-                    rt.parallelChains(f1 - f0, [&](int64_t i) {
-                        const int64_t f = f0 + i;
-                        const int64_t oc = g * cout_g + f;
-                        float *gw =
-                            grad_w.data() + ((oc * cin_g + ic) * k) * k;
-                        const float *gcol =
-                            gcols[static_cast<size_t>(f % slots)].data();
-                        for (int64_t r = 0; r < v; ++r) {
-                            if (owner[static_cast<size_t>(r)] != r)
-                                continue;
-                            const float gv = gcol[r];
-                            kn.axpy(gw, gv, rows.data() + r * d, d);
-                        }
-                    });
-                };
-
-                rt.runFilterPasses(
-                    ReuseRuntime::StreamSource::replay(pass), set,
-                    stats);
+                lane.stats.mix += pass.mix;
+                ++lane.stats.channelPasses;
+                lane.stats.macsTotal += geo.passMacs();
             }
-        }
-    }
+        });
     return grad_w;
 }
 

@@ -12,34 +12,36 @@
  * reuse-induced approximation — which is what the accuracy
  * experiments measure.
  *
- * Overlap (§III-B, Fig. 8): when the frontend's PipelineConfig has
- * `overlap` set and a worker pool is available, the engine consumes
- * the pipeline's streaming block hand-off — the first `versions`
- * filter passes run as per-filter SerialExecutor chains that start on
- * each block as it is delivered, while later blocks are still
- * hashing, and the remaining filter groups run `versions` filters in
- * parallel on the pool. Each filter processes its rows in stream
- * order (the MCACHE owner-writes-before-hit-reads discipline), so
- * outputs, hit/skip decisions, and statistics are bit-identical to
- * the serial run-then-filter path.
+ * Parallel execution (docs/ARCHITECTURE.md, "Conv lanes"): MERCURY clears
+ * the MCACHE when a channel's vectors arrive (§III-B3), so on a
+ * non-persistent cache every channel pass is independent, and a
+ * replayed pass never touches the cache at all. The engine therefore
+ * parallelizes ACROSS passes, not inside them: whole passes are dealt
+ * to ConvLanes (core/reuse_runtime.hpp), one lane per pool executor,
+ * each lane running the serial pass body on its own MCACHE, data
+ * plane and scratch with no pool call inside a pass. forward() and
+ * backwardInput() deal images (their outputs are disjoint per image);
+ * backwardWeights() deals (group, input channel) columns and walks a
+ * column's images in order, so every gradient element accumulates in
+ * the serial order. Results and statistics are bit-identical for any
+ * thread count by construction.
  *
- * Cross-channel overlap (ROADMAP): the extraction tensor is double
- * buffered, so in overlapped mode the engine extracts and *hashes*
- * channel c+1 (DetectionFrontend::beginHashStream — no MCACHE state
- * touched) while channel c's trailing filter groups are still
- * draining against the cache, hiding the serial extraction + hashing
- * fraction that the within-channel overlap could not reach.
+ * Only the forward over a PERSISTENT cache (serving) keeps the
+ * ordered path: there a pass HITs on what earlier passes inserted,
+ * so passes run in order on the driving thread, through
+ * ReuseRuntime's filter-pass scheduler — with a pool and overlap
+ * (§III-B, Fig. 8) the filter passes stream against the pipeline's
+ * block hand-off while later blocks still hash.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then computes the
- * input-gradient pass with the *same* reuse decisions, streamed back
- * through the block hand-off with zero detection cost. A forward-HIT
- * row reuses its owner row's grad-column products instead of
- * multiplying the output gradient into the kernel again; rows that
- * computed forward compute backward. With zero hits the result is
- * bit-identical to the exact input gradient (tensor/ops
- * conv2dBackwardInput): the scatter accumulates per input cell in
- * the exact path's (filter, output-position) order.
+ * input-gradient pass with the *same* reuse decisions, at zero
+ * detection cost. A forward-HIT row reuses its owner row's
+ * grad-column products instead of multiplying the output gradient
+ * into the kernel again; rows that computed forward compute backward.
+ * With zero hits the result is bit-identical to the exact input
+ * gradient (tensor/ops conv2dBackwardInput): the scatter accumulates
+ * per input cell in the exact path's (filter, output-position) order.
  *
  * Weight gradients (§III-C2 applied to Eq. 1): backwardWeights()
  * replays the same record over dW = X ⊛ dY. A forward-HIT row's
@@ -52,19 +54,14 @@
  * the exact dW up to the float-summation order of the grouped
  * gradient rows.
  *
- * Thread-safety: forward(), backwardInput(), and backwardWeights()
- * are driven by one thread; the filter tasks they spawn touch the
- * MCACHE data plane (forward) or engine-local grad-column / group-sum
- * buffers (backward) concurrently. Two threads must not call into one
- * engine (or two engines sharing a frontend) concurrently.
+ * Thread-safety: one thread calls forward(), backwardInput() and
+ * backwardWeights(); the lanes (or the ordered path's filter tasks)
+ * they fan out to run on the frontend's pool. Two threads must not
+ * call into one engine, into two engines sharing a frontend, or into
+ * two engines sharing a ConvLanes, concurrently.
  *
- * Scheduling — serial vs overlapped execution, the per-filter stream
- * chains, and the grouped fan-outs — is delegated to ReuseRuntime
- * (core/reuse_runtime.hpp): each of the three passes is expressed as
- * a FilterPassSet descriptor, so this file holds only the conv shape
- * logic (patch extraction, group/filter geometry, scatter orders).
  * Grouped and depthwise convolutions (spec.groups > 1) are the same
- * descriptors over per-group filter ranges — no separate engine.
+ * passes over per-group filter ranges — no separate engine.
  *
  * The engine also reports the measured HIT/MAU/MNU mix and the MACs
  * skipped, which feed the timing model.
@@ -90,11 +87,10 @@ namespace mercury {
 
 /**
  * Extract the (oh*ow, k*k) patch rows of one (image, channel) pass —
- * the Fig. 7a vector extraction shared by the forward detection pass,
- * the weight-gradient replay (which needs the owner patches back),
- * and the planner's cross-layer prefetch (which extracts the
- * successor's first channel while the predecessor drains). Reads
- * input.at4(b, c, ...) only, so any tensor holding the channel works.
+ * the Fig. 7a vector extraction shared by the forward detection pass
+ * and the weight-gradient replay (which needs the owner patches
+ * back). Reads input.at4(b, c, ...) only, so any tensor holding the
+ * channel works.
  */
 void extractChannelPatches(const Tensor &input, const ConvSpec &spec,
                            int64_t b, int64_t c, int64_t oh, int64_t ow,
@@ -132,8 +128,13 @@ class ConvReuseEngine
     ConvReuseEngine(MCache &cache, int sig_bits, uint64_t seed,
                     const PipelineConfig &pipe = {});
 
-    /** Run through a shared detection front-end. */
-    ConvReuseEngine(DetectionFrontend &frontend, int sig_bits);
+    /**
+     * Run through a shared detection front-end. `lanes` shares one
+     * set of lanes across engines (MercuryContext passes its own);
+     * null keeps a private set, built on first use.
+     */
+    ConvReuseEngine(DetectionFrontend &frontend, int sig_bits,
+                    ConvLanes *lanes = nullptr);
 
     /**
      * Reuse-enabled forward convolution, channel by channel.
@@ -143,15 +144,13 @@ class ConvReuseEngine
      * @param bias   (Cout) or empty
      * @param stats  filled with the measured reuse statistics
      * @param record when non-null, cleared and then filled with one
-     *        captured pass per (image, channel) in execution order,
-     *        for the backward replay (§III-C2)
+     *        captured pass per (image, channel) in forward order
+     *        (image, group, channel), for the backward replay (§III-C2)
      * @param plan   planned execution state (core/runtime_planner.hpp):
-     *        when non-null the pass reuses the slot's persistent
-     *        ReuseRuntime and preallocated buffers instead of
-     *        rebuilding them, consumes a cross-layer prefetched hash
-     *        job as its first pass when one is armed, and fires the
-     *        slot's own prefetch edge for the successor layer.
-     *        Outputs and statistics are bit-identical either way.
+     *        on a persistent cache the ordered path reuses the slot's
+     *        ReuseRuntime instead of building one per call (the lane
+     *        path needs none). Outputs and statistics are
+     *        bit-identical either way.
      */
     Tensor forward(const Tensor &input, const Tensor &weight,
                    const Tensor &bias, const ConvSpec &spec,
@@ -171,12 +170,10 @@ class ConvReuseEngine
      * @param in_w    input width
      * @param record  the forward pass's captured record
      * @param stats   filled with the backward reuse statistics
-     * @param plan    planned execution state (see forward())
      */
     Tensor backwardInput(const Tensor &gradOut, const Tensor &weight,
                          const ConvSpec &spec, int64_t in_h, int64_t in_w,
-                         const SignatureRecord &record, ReuseStats &stats,
-                         ConvPlanSlot *plan = nullptr);
+                         const SignatureRecord &record, ReuseStats &stats);
 
     /**
      * Weight-gradient pass with replayed reuse (§III-C2, Eq. 1):
@@ -191,19 +188,21 @@ class ConvReuseEngine
      * @param gradOut (N, Cout, outH, outW) output gradient
      * @param record  the forward pass's captured record
      * @param stats   filled with the dW-pass reuse statistics
-     * @param plan    planned execution state (see forward())
      */
     Tensor backwardWeights(const Tensor &input, const Tensor &gradOut,
                            const ConvSpec &spec,
                            const SignatureRecord &record,
-                           ReuseStats &stats,
-                           ConvPlanSlot *plan = nullptr);
+                           ReuseStats &stats);
 
     /** Signature length this engine detects with. */
     int signatureBits() const { return frontend_.signatureBits(); }
 
   private:
     FrontendHandle frontend_;
+    ConvLanes *lanes_ = nullptr;          ///< shared lanes, or null
+    std::unique_ptr<ConvLanes> ownLanes_; ///< private lanes, lazy
+
+    ConvLanes &lanes();
 };
 
 } // namespace mercury

@@ -21,8 +21,7 @@ mcacheOutcomeName(McacheOutcome outcome)
 }
 
 MCache::MCache(int sets, int ways, int data_versions)
-    : sets_(sets), ways_(ways), versions_(data_versions),
-      stats_("mcache")
+    : sets_(sets), ways_(ways), versions_(data_versions)
 {
     if (sets <= 0 || ways <= 0 || data_versions <= 0)
         fatal("MCACHE needs positive sets/ways/versions, got ", sets, "/",
@@ -33,6 +32,30 @@ MCache::MCache(int sets, int ways, int data_versions)
         l.validData.assign(static_cast<size_t>(versions_), false);
     }
     insertBacklog_.assign(static_cast<size_t>(sets), 0);
+}
+
+StatGroup
+MCache::stats() const
+{
+    StatGroup g("mcache");
+    const auto put = [&g](const char *name, uint64_t v) {
+        if (v > 0)
+            g.stat(name).set(static_cast<double>(v));
+    };
+    const Counters &c = counters_;
+    put("hits", c.hits);
+    put("mau", c.mau);
+    put("mnu", c.mnu);
+    put("inserts", c.inserts);
+    put("quotaRejects", c.quotaRejects);
+    put("dataReads", c.dataReads);
+    put("dataWrites", c.dataWrites);
+    put("dataInvalidations", c.dataInvalidations);
+    put("clears", c.clears);
+    put("evictions", c.evictions);
+    put("evictionPinSkips", c.evictionPinSkips);
+    put("restores", c.restores);
+    return g;
 }
 
 MCache::Line &
@@ -75,7 +98,7 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
         Line &l = lines_[static_cast<size_t>(base + w)];
         if (l.validTag && l.tag == sig) {
             l.epoch = epoch_;
-            stats_.stat("hits")++;
+            ++counters_.hits;
             return {McacheOutcome::Hit, base + w};
         }
     }
@@ -84,8 +107,8 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
         Line &l = lines_[static_cast<size_t>(base + w)];
         if (!l.validTag) {
             if (quotaGate_ && !quotaGate_->tryReserve(insertTenant_)) {
-                stats_.stat("quotaRejects")++;
-                stats_.stat("mnu")++;
+                ++counters_.quotaRejects;
+                ++counters_.mnu;
                 return {McacheOutcome::Mnu, -1};
             }
             l.tag = sig;
@@ -93,13 +116,13 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
             std::fill(l.validData.begin(), l.validData.end(), false);
             l.epoch = epoch_;
             l.tenant = insertTenant_;
-            stats_.stat("mau")++;
-            stats_.stat("inserts")++;
+            ++counters_.mau;
+            ++counters_.inserts;
             ++insertBacklog_[static_cast<size_t>(set)];
             return {McacheOutcome::Mau, base + w};
         }
     }
-    stats_.stat("mnu")++;
+    ++counters_.mnu;
     return {McacheOutcome::Mnu, -1};
 }
 
@@ -121,7 +144,7 @@ MCache::readData(int64_t entry_id, int version) const
     if (!l.validData[static_cast<size_t>(version)])
         panic("MCACHE read of invalid data: entry ", entry_id,
               " version ", version);
-    stats_.stat("dataReads")++;
+    ++counters_.dataReads;
     return l.data[static_cast<size_t>(version)];
 }
 
@@ -136,7 +159,7 @@ MCache::writeData(int64_t entry_id, int version, float value)
               entry_id);
     l.data[static_cast<size_t>(version)] = value;
     l.validData[static_cast<size_t>(version)] = true;
-    stats_.stat("dataWrites")++;
+    ++counters_.dataWrites;
 }
 
 void
@@ -144,7 +167,7 @@ MCache::invalidateAllData()
 {
     for (auto &l : lines_)
         std::fill(l.validData.begin(), l.validData.end(), false);
-    stats_.stat("dataInvalidations")++;
+    ++counters_.dataInvalidations;
 }
 
 void
@@ -160,7 +183,7 @@ MCache::clear()
         l.pins = 0;
     }
     std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
-    stats_.stat("clears")++;
+    ++counters_.clears;
 }
 
 int
@@ -259,7 +282,7 @@ MCache::evictLine(Line &l)
     std::fill(l.validData.begin(), l.validData.end(), false);
     l.epoch = 0;
     l.tenant = -1;
-    stats_.stat("evictions")++;
+    ++counters_.evictions;
 }
 
 int64_t
@@ -270,7 +293,7 @@ MCache::evictOlderThan(uint64_t min_epoch)
         if (!l.validTag || l.epoch >= min_epoch)
             continue;
         if (l.pins > 0) {
-            stats_.stat("evictionPinSkips")++;
+            ++counters_.evictionPinSkips;
             continue;
         }
         evictLine(l);
@@ -287,7 +310,7 @@ MCache::evictTenant(int tenant)
         if (!l.validTag || l.tenant != tenant)
             continue;
         if (l.pins > 0) {
-            stats_.stat("evictionPinSkips")++;
+            ++counters_.evictionPinSkips;
             continue;
         }
         evictLine(l);
@@ -309,7 +332,7 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
     l.epoch = epoch;
     l.tenant = tenant;
     l.pins = 0;
-    stats_.stat("restores")++;
+    ++counters_.restores;
 }
 
 } // namespace mercury

@@ -210,9 +210,33 @@ class MCache
     void restoreLine(int64_t entry_id, const Signature &sig,
                      uint64_t epoch, int tenant);
 
-    /** Lifetime statistics: hits, mau, mnu, inserts, dataReads, ... */
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /**
+     * Lifetime counters. Plain integers: the probe bumps them on every
+     * lookup, so they must cost an add, not a string-keyed map lookup.
+     */
+    struct Counters
+    {
+        uint64_t hits = 0;
+        uint64_t mau = 0;
+        uint64_t mnu = 0;
+        uint64_t inserts = 0;
+        uint64_t quotaRejects = 0;
+        uint64_t dataReads = 0;
+        uint64_t dataWrites = 0;
+        uint64_t dataInvalidations = 0;
+        uint64_t clears = 0;
+        uint64_t evictions = 0;
+        uint64_t evictionPinSkips = 0;
+        uint64_t restores = 0;
+    };
+    const Counters &counters() const { return counters_; }
+
+    /**
+     * Lifetime statistics (hits, mau, mnu, inserts, dataReads, ...)
+     * as a named StatGroup, built from counters() on each call. A
+     * counter appears once it has counted at least one event.
+     */
+    StatGroup stats() const;
 
   private:
     struct Line
@@ -235,7 +259,7 @@ class MCache
     int insertTenant_ = -1;
     McacheQuotaGate *quotaGate_ = nullptr;
     /// Mutable: read paths (e.g. readData) count accesses too.
-    mutable StatGroup stats_;
+    mutable Counters counters_;
 
     Line &line(int64_t entry_id);
     const Line &line(int64_t entry_id) const;

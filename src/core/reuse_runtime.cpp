@@ -1,6 +1,7 @@
 #include "core/reuse_runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 #include "core/kernels/kernels.hpp"
@@ -15,8 +16,6 @@ ReuseRuntime::deliver(const StreamSource &src, const BlockConsumer &cb)
         fe_.replayStream(*src.pass_, cb);
         return DetectionResult{};
     }
-    if (src.job_)
-        return fe_.finishStream(*src.job_, cb, src.capture_);
     return fe_.detectStream(*src.rows_, bits_, cb, src.capture_,
                             src.fill_);
 }
@@ -38,13 +37,8 @@ ReuseRuntime::consumeSerial(const StreamSource &src)
     if (src.pass_)
         return DetectionResult{};
     sizeRowResults(src);
-    DetectionResult det;
-    if (src.job_) {
-        det = fe_.finishStream(
-            *src.job_, [](const DetectionBlock &) {}, src.capture_);
-    } else {
-        det = fe_.detect(*src.rows_, bits_, src.capture_, src.fill_);
-    }
+    const DetectionResult det =
+        fe_.detect(*src.rows_, bits_, src.capture_, src.fill_);
     const int64_t n = det.hitmap.size();
     for (int64_t i = 0; i < n; ++i) {
         rowResults_[static_cast<size_t>(i)] = {det.hitmap.outcome(i),
@@ -118,10 +112,6 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
                     s += set.segment(f, blk.row0, blk.row1);
             });
             stats.macsSkipped += s;
-            if (set.onStreamDelivered)
-                set.onStreamDelivered();
-            if (set.onChainDrained)
-                set.onChainDrained(0, group0);
         } else {
             // The consumer chains are runtime members reused across
             // channel passes; a drained SerialExecutor is safely
@@ -151,32 +141,14 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
                         });
                 }
             });
-            // Cross-channel overlap window: the stream has delivered
-            // but the chains may still be draining.
-            if (set.onStreamDelivered)
-                set.onStreamDelivered();
-            for (int64_t c = 0; c < nchains; ++c) {
+            for (int64_t c = 0; c < nchains; ++c)
                 chains_[static_cast<size_t>(c)]->wait();
-                // Chain c's filter range [f0, f1) is final for every
-                // row of the pass: earlier chains have joined and
-                // within the chain segments ran in delivery order.
-                // The planner's cross-layer edge fires here — the
-                // successor layer's hash launches while chains c+1..
-                // still drain.
-                if (set.onChainDrained)
-                    set.onChainDrained(c * group0 / nchains,
-                                       (c + 1) * group0 / nchains);
-            }
             for (const uint64_t s : skipped)
                 stats.macsSkipped += s;
         }
-        if (set.afterGroup)
-            set.afterGroup(0, group0);
         f_done = group0;
     } else {
         det = consumeSerial(src);
-        if (set.onStreamDelivered)
-            set.onStreamDelivered();
     }
 
     // Remaining groups run whole-range: the stream has drained, so
@@ -195,8 +167,6 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
         });
         for (const uint64_t s : skipped)
             stats.macsSkipped += s;
-        if (set.afterGroup)
-            set.afterGroup(f0, f1);
     }
 
     addPassStats(src, det, stats);
@@ -319,6 +289,52 @@ ReuseRuntime::runScan(const StreamSource &src, const ScanPass &pass,
 
     addPassStats(src, det, stats);
     return det;
+}
+
+ReuseStats
+ConvLanes::run(DetectionFrontend &fe, int64_t items,
+               const std::function<void(ConvLane &, int64_t)> &fn)
+{
+    ThreadPool *pool = fe.workerPool();
+    const int64_t executors =
+        pool ? static_cast<int64_t>(pool->workers()) + 1 : 1;
+    const int64_t active = std::max<int64_t>(
+        1, std::min<int64_t>(executors, items));
+    const ShardedMCache &geom = fe.cache();
+    while (count() < active)
+        lanes_.push_back(std::make_unique<ConvLane>());
+    for (int64_t i = 0; i < active; ++i) {
+        ConvLane &lane = *lanes_[static_cast<size_t>(i)];
+        if (!lane.cache || lane.cache->sets() != geom.sets() ||
+            lane.cache->ways() != geom.ways() ||
+            lane.cache->dataVersions() != geom.dataVersions()) {
+            lane.cache = std::make_unique<ShardedMCache>(
+                geom.sets(), geom.ways(), geom.dataVersions(), 1);
+            lane.cache->setConcurrent(false); // one thread per lane
+        }
+        lane.stats = ReuseStats{};
+    }
+
+    if (active == 1) {
+        for (int64_t i = 0; i < items; ++i)
+            fn(*lanes_[0], i);
+    } else {
+        // One driver per lane; each claims items until none are left,
+        // so uneven passes balance without a join per pass.
+        std::atomic<int64_t> next{0};
+        pool->parallelFor(active, [&](int64_t l) {
+            ConvLane &lane = *lanes_[static_cast<size_t>(l)];
+            for (int64_t i;
+                 (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                 items;)
+                fn(lane, i);
+        });
+    }
+
+    ReuseStats total;
+    for (int64_t i = 0; i < active; ++i)
+        total += lanes_[static_cast<size_t>(i)]->stats;
+    return total;
 }
 
 Tensor

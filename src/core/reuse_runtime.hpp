@@ -18,14 +18,11 @@
  * ## Stream sources
  *
  * Every pass consumes one stream of DetectionBlocks, from one of
- * three sources (StreamSource):
+ * two sources (StreamSource):
  *
  *  - live(rows)   — a fresh detection pass over a row population
  *                   (forward passes; optionally captured into a
  *                   SignatureRecord for later replay);
- *  - hashed(job)  — the probe half of a pass whose hashing was begun
- *                   earlier with DetectionFrontend::beginHashStream
- *                   (the conv engine's cross-channel overlap);
  *  - replay(pass) — a recorded pass re-delivered with zero hashing or
  *                   probing cycles and no MCACHE access (§III-C2; the
  *                   backward and weight-gradient passes).
@@ -41,8 +38,9 @@
  *    filter sees its rows in stream order (the MCACHE
  *    owner-writes-before-hit-reads discipline) while distinct filters
  *    run in parallel. Remaining groups run whole-range on the pool
- *    after the stream drains. Conv forward / backwardInput /
- *    backwardWeights are FilterPassSets.
+ *    after the stream drains. The conv forward over a persistent
+ *    MCACHE is a FilterPassSet; every other conv pass runs whole
+ *    channel passes on ConvLanes (below).
  *
  *  - RowPass — row-granular result forwarding (§III-C3): stream-order
  *    owner bookkeeping on the driving thread decides per row whether
@@ -107,6 +105,15 @@ struct ReuseStats
     uint64_t macsSkipped = 0;  ///< MACs avoided through reuse
     int64_t channelPasses = 0; ///< number of detection passes run
 
+    ReuseStats &operator+=(const ReuseStats &other)
+    {
+        mix += other.mix;
+        macsTotal += other.macsTotal;
+        macsSkipped += other.macsSkipped;
+        channelPasses += other.channelPasses;
+        return *this;
+    }
+
     double skipFraction() const
     {
         return macsTotal
@@ -155,16 +162,6 @@ class ReuseRuntime
             return s;
         }
 
-        /** Probe half of a pass begun with beginHashStream. */
-        static StreamSource hashed(DetectionHashJob &job,
-                                   SignatureRecord *capture = nullptr)
-        {
-            StreamSource s;
-            s.job_ = &job;
-            s.capture_ = capture;
-            return s;
-        }
-
         /** Replay of a recorded pass (§III-C2; no MCACHE access). */
         static StreamSource replay(const SignatureRecord::Pass &pass)
         {
@@ -180,8 +177,6 @@ class ReuseRuntime
         {
             if (pass_)
                 return pass_->rows;
-            if (job_)
-                return job_->rowCount();
             return rows_->dim(0);
         }
 
@@ -190,7 +185,6 @@ class ReuseRuntime
         StreamSource() = default;
 
         const Tensor *rows_ = nullptr;
-        DetectionHashJob *job_ = nullptr;
         const SignatureRecord::Pass *pass_ = nullptr;
         SignatureRecord *capture_ = nullptr;
         RowFiller fill_; ///< fused extraction of live sources
@@ -208,26 +202,7 @@ class ReuseRuntime
      * `beforeGroup(f0, f1)` runs on the driving thread before every
      * filter group that does *not* consume the live stream — the
      * streamed first group is covered by the stream's initial cache
-     * clear (the conv forward uses this for invalidateAllData).
-     *
-     * `afterGroup(f0, f1)` runs on the driving thread after a group's
-     * segments have completed and their skip counts were folded into
-     * the stats — the ordered scatter of backwardInput and the
-     * per-group outer products of backwardWeights live here (the
-     * callback may fan out again via parallelChains).
-     *
-     * `onStreamDelivered` runs once the stream has fully delivered
-     * but before the in-flight chains are joined: the cross-channel
-     * overlap window, where the conv engine extracts and begins
-     * hashing the next channel while this one's chains drain.
-     *
-     * `onChainDrained(f0, f1)` runs on the driving thread after each
-     * streamed consumer chain joins (overlapped path only, ascending
-     * chain order): filters [f0, f1) are final for every row while
-     * later chains still drain — the cross-LAYER overlap window,
-     * where the planner's dependency edge launches the successor
-     * layer's detection hash (see core/runtime_planner.hpp). Serial
-     * execution never fires it (there is no drain to overlap with).
+     * clear.
      */
     struct FilterPassSet
     {
@@ -236,9 +211,6 @@ class ReuseRuntime
         int64_t inFlight = 1; ///< filters per group (data versions)
         std::function<uint64_t(int64_t f, int64_t r0, int64_t r1)> segment;
         std::function<void(int64_t f0, int64_t f1)> beforeGroup;
-        std::function<void(int64_t f0, int64_t f1)> afterGroup;
-        std::function<void()> onStreamDelivered;
-        std::function<void(int64_t f0, int64_t f1)> onChainDrained;
     };
 
     /**
@@ -307,8 +279,8 @@ class ReuseRuntime
     /**
      * Worker pool of the pass currently in flight (null when that
      * pass resolved to serial). Set at every run* entry from the
-     * pass's row count, so parallelChains calls from afterGroup
-     * callbacks follow the same overlap decision as the stream.
+     * pass's row count, so parallelChains calls follow the same
+     * overlap decision as the stream.
      */
     ThreadPool *pool() { return passPool_; }
 
@@ -358,8 +330,8 @@ class ReuseRuntime
 
     /**
      * Fan `width` independent chain bodies out over the pool (serial
-     * loop without one): the non-streamed filter groups and the
-     * afterGroup fan-outs. fn(i) must write disjoint state.
+     * loop without one): the non-streamed filter groups. fn(i) must
+     * write disjoint state.
      */
     void parallelChains(int64_t width,
                         const std::function<void(int64_t)> &fn);
@@ -390,6 +362,64 @@ class ReuseRuntime
     /** Fold the pass's mix into the stats (live det / recorded). */
     void addPassStats(const StreamSource &src, const DetectionResult &det,
                       ReuseStats &stats);
+};
+
+/**
+ * One pool executor's private state for whole conv channel passes.
+ *
+ * MERCURY clears the MCACHE when a new channel's vectors arrive
+ * (§III-B3), so on a non-persistent cache every conv channel pass is
+ * independent of every other — and a replayed pass (dX, dW) never
+ * touches the cache at all. ConvReuseEngine therefore makes the whole
+ * pass the unit of parallel work: each executor runs complete passes
+ * serially on its own lane, with no pool call inside a pass, instead
+ * of every pass forking and joining the pool two or three times.
+ *
+ * A lane is scratch only: every field is fully rewritten by the pass
+ * that uses it (the detection pass clears the cache, the data plane
+ * is invalidated per filter, every row of every buffer is written
+ * before it is read), so which lane runs a pass never shows in any
+ * output or statistic.
+ */
+struct ConvLane
+{
+    /** MCACHE with the frontend's geometry (one shard, locks off). */
+    std::unique_ptr<ShardedMCache> cache;
+    PassDataPlane plane;               ///< forward HIT forwarding
+    Tensor rows;                       ///< (rows, k*k) patch extraction
+    std::vector<McacheResult> results; ///< forward outcomes of the pass
+    std::vector<int64_t> owner;        ///< replayed owner map
+    std::vector<float> col;            ///< dX grad column of one filter
+    std::vector<float> gcol;           ///< dW group sums of one filter
+    ReuseStats stats;                  ///< this lane's share of a run
+};
+
+/**
+ * The lanes of one pool: one per executor (the pool's workers plus
+ * the driving thread), shared by every conv layer of a context —
+ * layers run one after another, so one set of lanes covers them all
+ * (MercuryContext owns it; an engine without one keeps its own).
+ */
+class ConvLanes
+{
+  public:
+    /**
+     * Run fn(lane, item) once for every item in [0, items) across
+     * `fe`'s pool: each executor drives one lane and claims items
+     * until none are left, so a lane is never used by two threads at
+     * once and there is one fork/join per call, not per pass. fn must
+     * not call into the pool. Returns the lanes' summed stats (integer
+     * sums: independent of which lane ran which item). Driving thread
+     * only; lane caches take `fe`'s cache geometry.
+     */
+    ReuseStats run(DetectionFrontend &fe, int64_t items,
+                   const std::function<void(ConvLane &, int64_t)> &fn);
+
+    /** Lanes built so far (tests). */
+    int64_t count() const { return static_cast<int64_t>(lanes_.size()); }
+
+  private:
+    std::vector<std::unique_ptr<ConvLane>> lanes_;
 };
 
 /**

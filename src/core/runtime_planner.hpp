@@ -5,44 +5,36 @@
  * graph once, execute steps as replay of a precomputed plan").
  *
  * Every unplanned step re-derives the same work: each layer re-builds
- * its ReuseRuntime pass descriptors, re-resolves the tuning knobs
- * (tunedPipelineFor / resolvedShards), re-allocates its extraction /
- * grad-column / group-sum buffers, and drains the worker pool to a
- * hard barrier before the next layer starts. None of that depends on
- * the batch *values* — only on layer shapes and configuration — so
- * the planner walks the network's step description once and emits:
+ * its ReuseRuntime pass descriptors and re-resolves the tuning knobs
+ * (tunedPipelineFor / resolvedShards). None of that depends on the
+ * batch *values* — only on layer shapes and configuration — so the
+ * planner walks the network's step description once and emits:
  *
  *  - a LayerPlan per reuse-capable layer: resolved pass geometry
- *    (rows, vector dim, pass count, in-flight filter width, backward
- *    slot count), the per-shape pipeline knobs resolved exactly once,
- *    the planned buffer high-water (double-buffered extraction
- *    tensors, grad-column and group-sum slots sized to the MCACHE
- *    data-version width), and the SignatureRecord hold/spill decision
- *    (storage-byte prediction vs the hold threshold) made at plan
- *    time instead of per step;
+ *    (rows, vector dim, pass count, in-flight filter width), the
+ *    per-shape pipeline knobs resolved exactly once,
+ *    the per-lane buffer high-water, and the SignatureRecord
+ *    hold/spill decision (storage-byte prediction vs the hold
+ *    threshold) made at plan time instead of per step;
  *
  *  - dependency edges between adjacent conv layers separated only by
- *    channelwise transforms (ReLU / 2x2 max pool): across such an
- *    edge the successor's first detection/hash pass launches while
- *    the predecessor's trailing filter ranges drain (cross-LAYER
- *    overlap — the extension of the engines' cross-channel overlap).
- *    Channelwise transforms keep channel 0 of image 0 self-contained,
- *    so the successor's first channel pass can be extracted and
- *    hashed the moment the predecessor's first in-flight chain has
- *    drained filter 0 — hashing touches only the row tensor and
- *    cache geometry (DetectionHashJob contract), never MCACHE state,
- *    so the MCACHE owner-before-hit ordering contract needs no
- *    barrier there. Barriers remain only where that contract (or a
- *    genuine data dependence through a non-channelwise op) requires
- *    them; StepPlan counts both.
+ *    channelwise transforms (ReLU / 2x2 max pool). Channelwise
+ *    transforms keep channel 0 of image 0 self-contained, so on the
+ *    accelerator the successor's first channel pass can be extracted
+ *    and hashed while the predecessor's trailing filter ranges drain
+ *    (cross-LAYER overlap); the timing model (sim/plan_model.hpp)
+ *    charges that overlap per edge. Barriers remain only where a
+ *    genuine data dependence through a non-channelwise op requires
+ *    them; StepPlan counts both. The host executor needs no edge:
+ *    it runs whole channel passes on lanes (core/reuse_runtime.hpp,
+ *    ConvLanes), whose one join per layer call is the only barrier.
  *
  * Plans are immutable and shareable: a StepPlan holds no frontend or
  * cache pointers, so one PlanCache can serve every same-shape session
- * of a MercuryServer. The mutable half — persistent ReuseRuntimes,
- * planned tensors, armed prefetch closures — lives in a per-context
- * PlanExec built by buildPlanExec() and invalidated whenever the
- * context's frontends are (setPipeline / setSignatureBits /
- * setLayerCacheProvider).
+ * of a MercuryServer. The mutable half — persistent ReuseRuntimes and
+ * row-pass scratch — lives in a per-context PlanExec built by
+ * buildPlanExec() and invalidated whenever the context's frontends
+ * are (setPipeline / setSignatureBits / setLayerCacheProvider).
  *
  * Plan-cache keying: FNV-1a over the ordered step description (op
  * kinds, layer ids, conv specs with resolved input spatial dims,
@@ -163,7 +155,6 @@ struct LayerPlan
     int64_t outH = 0;     ///< conv output spatial dims
     int64_t outW = 0;
     int64_t inFlight = 0; ///< conv filters in flight (cout / groups)
-    int64_t backwardSlots = 0; ///< grad-column slots (min(versions, inFlight))
 
     /** Pipeline knobs resolved once per shape (satellite: the
      *  per-pass tunedPipelineFor / resolvedShards churn is hoisted
@@ -173,8 +164,9 @@ struct LayerPlan
      *  layer's rows at compile time). */
     PipelineConfig pipe;
 
-    /** Planned buffer high-water in floats (extraction double-buffer,
-     *  grad columns, group sums) — what PlanExec preallocates. */
+    /** Per-lane buffer high-water in floats of one channel pass
+     *  (conv: patch rows, plus a grad column and group sums when the
+     *  backward passes replay). */
     uint64_t scratchFloats = 0;
 
     /** Predicted SignatureRecord bytes of a captured forward, and the
@@ -244,52 +236,16 @@ class PlanCache
 };
 
 /**
- * Mutable conv execution state of one bound plan (per context):
- * the persistent ReuseRuntime and every buffer the unplanned path
- * allocates per step, preallocated at bind time, plus the armed
- * cross-layer prefetch edge. One thread drives a slot at a time (the
- * same single-caller contract as the engines).
+ * Mutable conv execution state of one bound plan (per context): the
+ * persistent ReuseRuntime the ordered forward path (persistent cache)
+ * runs on. Everything else a conv pass needs is lane scratch
+ * (ConvLanes), shared by every layer. One thread drives a slot at a
+ * time (the same single-caller contract as the engines).
  */
 struct ConvPlanSlot
 {
     const LayerPlan *plan = nullptr;
     std::unique_ptr<ReuseRuntime> runtime;
-
-    /** Double-buffered extraction tensors (cross-channel overlap). */
-    Tensor bufs[2];
-    /** Prebuilt (image, group, channel) pass order. */
-    struct PassId
-    {
-        int64_t b = 0, g = 0, ic = 0;
-    };
-    std::vector<PassId> order;
-
-    /** Backward grad-column slots (dX) and group sums (dW). */
-    std::vector<std::vector<float>> cols;
-    std::vector<std::vector<float>> gcols;
-    std::vector<int64_t> owner;
-    Tensor dwRows; ///< dW patch re-extraction buffer
-
-    /**
-     * Cross-layer overlap, producing side: armed by buildPlanExec on
-     * a fused edge's predecessor. The conv engine fires it once the
-     * pass completing (image 0, group 0, last input channel) has
-     * drained its first in-flight chain — output channel 0 of image 0
-     * is final there — handing the successor's first-channel hash to
-     * the pool while this layer's trailing filter ranges drain.
-     */
-    std::function<void(const Tensor &out)> prefetchNext;
-    int64_t prefetchAfterPass = -1;
-
-    /** Consuming side: the successor's planned row buffer and the
-     *  in-flight hash job its forward consumes as pass 0. The staging
-     *  tensors are slot members (not fireConvPrefetch locals) because
-     *  the job's fused extraction reads them from pool workers until
-     *  the job is consumed or reset. */
-    Tensor prefetchRows;
-    Tensor edgeSlice; ///< channel-0 staging of the predecessor output
-    Tensor edgePlane; ///< edge-transform result the filler reads
-    std::unique_ptr<DetectionHashJob> prefetched;
 };
 
 /** Mutable row-pass execution state (dense / attention layers). */
@@ -380,16 +336,14 @@ std::vector<LayerShape> shapesFromStepDesc(const StepDescBuilder &desc);
 
 /**
  * Build the execution state of a compiled plan: persistent runtimes
- * over the per-layer frontends, planned buffers, and armed prefetch
- * edges. `frontend_for(layer_id)` provisions the layer's detection
- * front-end (MercuryContext::frontendFor); the call also primes each
- * frontend's per-shape knob memo (DetectionFrontend::resolvedPipeFor)
- * so steady-state passes never re-resolve. `capture_records` sizes
- * the backward buffers (skip them for forward-only contexts).
+ * over the per-layer frontends. `frontend_for(layer_id)` provisions
+ * the layer's detection front-end (MercuryContext::frontendFor); the
+ * call also primes each frontend's per-shape knob memo
+ * (DetectionFrontend::resolvedPipeFor) so steady-state passes never
+ * re-resolve.
  */
 std::unique_ptr<PlanExec> buildPlanExec(
     std::shared_ptr<const StepPlan> plan, int sig_bits,
-    bool capture_records,
     const std::function<DetectionFrontend &(uint64_t)> &frontend_for);
 
 } // namespace mercury

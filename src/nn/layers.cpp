@@ -37,7 +37,7 @@ Conv2dLayer::forward(const Tensor &x, MercuryContext *ctx)
     recordValid_ = false;
     if (ctx) {
         ConvReuseEngine engine(ctx->frontendFor(layerId_),
-                               ctx->signatureBits());
+                               ctx->signatureBits(), &ctx->convLanes());
         ReuseStats stats;
         SignatureRecord *capture =
             ctx->capturesRecords() ? &record_ : nullptr;
@@ -58,11 +58,10 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         // hit-group's output gradients, then one multiply per group
         // through the owner's patch.
         ConvReuseEngine engine(ctx->frontendFor(layerId_),
-                               ctx->signatureBits());
+                               ctx->signatureBits(), &ctx->convLanes());
         ReuseStats wstats;
-        gradWeight_ =
-            engine.backwardWeights(lastInput_, grad, spec_, record_,
-                                   wstats, ctx->convPlanFor(layerId_));
+        gradWeight_ = engine.backwardWeights(lastInput_, grad, spec_,
+                                             record_, wstats);
         ctx->accumulateWeightGrad(wstats);
     } else {
         gradWeight_ = conv2dBackwardWeight(lastInput_, grad, spec_);
@@ -73,13 +72,12 @@ Conv2dLayer::backwardImpl(const Tensor &grad, MercuryContext *ctx)
         // backward filter pass (§III-C2): zero detection cost, and
         // forward-HIT rows skip their grad-column products.
         ConvReuseEngine engine(ctx->frontendFor(layerId_),
-                               ctx->signatureBits());
+                               ctx->signatureBits(), &ctx->convLanes());
         ReuseStats stats;
         Tensor gin = engine.backwardInput(grad, weight_, spec_,
                                           lastInput_.dim(2),
                                           lastInput_.dim(3), record_,
-                                          stats,
-                                          ctx->convPlanFor(layerId_));
+                                          stats);
         ctx->accumulateBackward(stats);
         return gin;
     }

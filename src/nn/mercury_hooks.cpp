@@ -45,6 +45,7 @@ MercuryContext::setPipeline(const PipelineConfig &pipe)
     perLayer_.clear();
     shared_.reset();
     pool_.reset();
+    convLanes_ = ConvLanes{};
 }
 
 ShardedMCache &
@@ -121,7 +122,7 @@ MercuryContext::bindStepPlan(const StepDescBuilder &desc)
         return;
     }
     exec_ = buildPlanExec(
-        std::move(plan), sigBits_, capturesRecords(),
+        std::move(plan), sigBits_,
         [this](uint64_t layer_id) -> DetectionFrontend & {
             return frontendFor(layer_id);
         });
@@ -244,38 +245,22 @@ MercuryContext::layerSeed(uint64_t layer_id) const
     return z ^ (z >> 31);
 }
 
-namespace {
-
-void
-addStats(ReuseStats &into, const ReuseStats &stats)
-{
-    into.mix.vectors += stats.mix.vectors;
-    into.mix.hit += stats.mix.hit;
-    into.mix.mau += stats.mix.mau;
-    into.mix.mnu += stats.mix.mnu;
-    into.macsTotal += stats.macsTotal;
-    into.macsSkipped += stats.macsSkipped;
-    into.channelPasses += stats.channelPasses;
-}
-
-} // namespace
-
 void
 MercuryContext::accumulate(const ReuseStats &stats)
 {
-    addStats(totals_, stats);
+    totals_ += stats;
 }
 
 void
 MercuryContext::accumulateBackward(const ReuseStats &stats)
 {
-    addStats(backwardTotals_, stats);
+    backwardTotals_ += stats;
 }
 
 void
 MercuryContext::accumulateWeightGrad(const ReuseStats &stats)
 {
-    addStats(weightGradTotals_, stats);
+    weightGradTotals_ += stats;
 }
 
 void

@@ -96,6 +96,15 @@ class MercuryContext
     /** Per-layer deterministic projection seed. */
     uint64_t layerSeed(uint64_t layer_id) const;
 
+    /**
+     * The conv lanes of the context's pool (core/reuse_runtime.hpp):
+     * one per executor, each with its own MCACHE and pass scratch,
+     * shared by every conv layer — layers run one after another, so
+     * one set serves them all and lane memory does not grow with
+     * depth. Rebuilt by setPipeline().
+     */
+    ConvLanes &convLanes() { return convLanes_; }
+
     // ---- Persistent-cache lifecycle (serving layer) -----------------
     //
     // With `pipeline().persistent` set, detection passes stop clearing
@@ -279,6 +288,7 @@ class MercuryContext
     int tenant_ = -1;
     uint64_t epoch_ = 0;
     std::map<uint64_t, std::unique_ptr<DetectionFrontend>> frontends_;
+    ConvLanes convLanes_;
     ReuseStats totals_;
     ReuseStats backwardTotals_;
     ReuseStats weightGradTotals_;

@@ -108,45 +108,37 @@ DetectionFrontend::detectStream(const Tensor &rows, int bits,
                                 const BlockConsumer &on_block,
                                 SignatureRecord *capture, RowFiller fill)
 {
-    std::unique_ptr<DetectionHashJob> job =
-        beginHashStream(rows, bits, std::move(fill));
-    return finishStream(*job, on_block, capture);
-}
-
-std::unique_ptr<DetectionHashJob>
-DetectionFrontend::beginHashStream(const Tensor &rows, int bits,
-                                   RowFiller fill)
-{
     if (rows.rank() != 2)
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
     ThreadPool *pool = poolFor();
+    // Streaming consumers schedule filter work against the data plane
+    // while later probes run, so locks engage whenever a pool exists.
+    // Quiescent here: one thread drives a frontend's passes, and
+    // engines join their chains before starting the next one.
+    cache_->setConcurrent(pool != nullptr);
     DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
                                resolvedPipeFor(rows.dim(0)), pool);
-    return pipeline.beginHash(rows, std::move(fill));
+    DetectionResult det =
+        pipeline.runStreaming(rows, on_block, std::move(fill));
+    if (capture)
+        capture->capturePass(det, bits, cache_->dataVersions(),
+                             cache_->entries());
+    return det;
+}
+
+DetectionFrontend::LaneView
+DetectionFrontend::laneView(int64_t rows, int64_t dim, int bits)
+{
+    return LaneView(rpqFor(dim), resolvedPipeFor(rows), bits);
 }
 
 DetectionResult
-DetectionFrontend::finishStream(DetectionHashJob &job,
-                                const BlockConsumer &on_block,
-                                SignatureRecord *capture)
+DetectionFrontend::LaneView::detect(ShardedMCache &cache,
+                                    const Tensor &rows,
+                                    const RowFiller &fill) const
 {
-    ThreadPool *pool = poolFor();
-    // Streaming consumers schedule filter work against the data plane
-    // while later probes run, so locks engage whenever a pool exists.
-    // The previous pass's filter tasks have drained by the time a new
-    // finishStream runs (one thread drives passes; engines join their
-    // chains before re-entering), so the cache is quiescent here even
-    // though the *hash* half of this job may already be in flight —
-    // hashing touches no cache state.
-    cache_->setConcurrent(pool != nullptr);
-    DetectionPipeline pipeline(rpqFor(job.vectorDim()), *cache_,
-                               job.signatureBits(),
-                               resolvedPipeFor(job.rowCount()), pool);
-    DetectionResult det = pipeline.finishStreaming(job, on_block);
-    if (capture)
-        capture->capturePass(det, job.signatureBits(),
-                             cache_->dataVersions(), cache_->entries());
-    return det;
+    return DetectionPipeline(rpq_, cache, bits_, pipe_, nullptr)
+        .run(rows, fill);
 }
 
 void

@@ -122,23 +122,51 @@ class DetectionFrontend
                                  RowFiller fill = {});
 
     /**
-     * Start the hashing half of a streaming pass (see
-     * DetectionPipeline::beginHash): no MCACHE state is touched, so
-     * this may run while filter tasks of the previous finishStream
-     * are still draining — the cross-channel overlap. `rows` must
-     * outlive the job; consume the job with finishStream exactly
-     * once. One thread drives begin/finish, like every other pass.
-     * With a `fill`, `rows` is scratch the filler populates blockwise
-     * (fused extraction — the filler's writes must cover every row).
+     * Detection bound to this frontend's RPQ engine and per-shape
+     * knobs, run inline against a caller-owned cache: the conv lane
+     * path (core/reuse_runtime.hpp, ConvLanes), where each pool
+     * executor probes a private MCACHE with this frontend's geometry
+     * so independent channel passes run side by side. Build it on the
+     * driving thread (laneView provisions the RPQ engine and resolves
+     * the knobs); the view itself is read-only, so any number of
+     * threads may detect through it at once, each into its own cache.
      */
-    std::unique_ptr<DetectionHashJob> beginHashStream(const Tensor &rows,
-                                                      int bits,
-                                                      RowFiller fill = {});
+    class LaneView
+    {
+      public:
+        /**
+         * One pass over `rows` into `cache` on the calling thread:
+         * the cache is cleared first, and the result is bit-identical
+         * to detect() on this frontend (any shard or thread count).
+         */
+        DetectionResult detect(ShardedMCache &cache, const Tensor &rows,
+                               const RowFiller &fill = {}) const;
 
-    /** Probe-and-deliver half of a pass begun with beginHashStream. */
-    DetectionResult finishStream(DetectionHashJob &job,
-                                 const BlockConsumer &on_block,
-                                 SignatureRecord *capture = nullptr);
+      private:
+        friend class DetectionFrontend;
+        LaneView(const RPQEngine &rpq, const PipelineConfig &pipe,
+                 int bits)
+            : rpq_(rpq), pipe_(pipe), bits_(bits)
+        {
+        }
+
+        const RPQEngine &rpq_;
+        PipelineConfig pipe_;
+        int bits_;
+    };
+
+    /** Lane view for passes of `rows` vectors of dimension `dim`. */
+    LaneView laneView(int64_t rows, int64_t dim, int bits);
+
+    /**
+     * True when every pass starts from an empty cache — not
+     * persistent and no tenant quota — so no pass depends on another
+     * and passes may run on lanes in any order.
+     */
+    bool passesIndependent() const
+    {
+        return !pipe_.persistent && cache_->tenantQuota() == 0;
+    }
 
     /**
      * Replay a recorded pass through the block hand-off with zero

@@ -31,15 +31,6 @@
  * consume this stream to start their filter passes before detection
  * of the remaining rows has finished (see docs/ARCHITECTURE.md).
  *
- * The streaming pass itself splits into two halves so the conv engine
- * can overlap *across channels* as well: beginHash() starts stage 1
- * for a new row population on the pool — touching no MCACHE state, so
- * it may run while the previous channel's trailing filter passes are
- * still draining against the cache — and finishStreaming() then
- * clears the cache, probes the hashed blocks in stream order, and
- * delivers them. runStreaming() is exactly beginHash +
- * finishStreaming.
- *
  * Replay (§III-C2): replayStreaming() re-delivers a recorded pass
  * (pipeline/signature_record.hpp) through the same DetectionBlock
  * hand-off — ascending block order, same lifetime contract — with
@@ -51,11 +42,8 @@
 #ifndef MERCURY_PIPELINE_DETECTION_PIPELINE_HPP
 #define MERCURY_PIPELINE_DETECTION_PIPELINE_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/rpq.hpp"
@@ -63,8 +51,6 @@
 #include "pipeline/sharded_mcache.hpp"
 #include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
-#include "util/executors.hpp"
-#include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mercury {
@@ -193,68 +179,6 @@ using BlockConsumer = std::function<void(const DetectionBlock &)>;
  */
 using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
 
-/**
- * In-flight stage-1 (hashing) half of a streaming detection pass,
- * created by DetectionPipeline::beginHash and consumed exactly once
- * by DetectionPipeline::finishStreaming.
- *
- * While a job is in flight its hash tasks read the row tensor and the
- * cache *geometry* (set count) only — never cache tags or data — so a
- * job for the next channel may hash while the previous channel's
- * filter passes still run against the MCACHE (the cross-channel
- * overlap). The row tensor must stay alive and unmodified until
- * finishStreaming returns (or the job is destroyed, which joins the
- * outstanding hash tasks).
- */
-class DetectionHashJob
-{
-  public:
-    /** Joins any outstanding hash tasks. */
-    ~DetectionHashJob();
-
-    /** Signature length the job hashes at. */
-    int signatureBits() const { return bits_; }
-
-    /** Vector dimension of the rows being hashed. */
-    int64_t vectorDim() const { return rows_.dim(1); }
-
-    /** Number of rows being hashed. */
-    int64_t rowCount() const { return n_; }
-
-    DetectionHashJob(const DetectionHashJob &) = delete;
-    DetectionHashJob &operator=(const DetectionHashJob &) = delete;
-
-  private:
-    friend class DetectionPipeline;
-
-    DetectionHashJob(const Tensor &rows, const RPQEngine &rpq,
-                     const ShardedMCache &cache, int bits,
-                     int64_t block_rows, RowFiller fill);
-
-    void projectBlock(int64_t b);
-
-    const Tensor &rows_;
-    RowFiller fill_; ///< fused extraction; empty = rows pre-filled
-    const RPQEngine &rpq_;
-    const ShardedMCache &cache_; // geometry reads only while hashing
-    int bits_;
-    int64_t blockRows_;
-    int64_t n_;
-    int64_t blocks_;
-    std::vector<Signature> sigs_;
-    std::vector<int> setOf_;
-    std::vector<McacheResult> results_;
-    // Sequencer state (pooled jobs): hash tasks finish in any order;
-    // the frontier walk pushes them into the hand-off ascending.
-    SpscQueue<int64_t> handoff_;
-    std::mutex seqMutex_;
-    std::vector<char> hashed_;
-    int64_t frontier_ = 0;
-    std::atomic<int64_t> nextBlock_{0};
-    std::function<void()> hashOne_;     // self-replenishing hash task
-    std::unique_ptr<TaskGroup> hashers_; // null: hash inline at finish
-};
-
 /** Batched, optionally multi-threaded similarity detection pass. */
 class DetectionPipeline
 {
@@ -304,33 +228,6 @@ class DetectionPipeline
     DetectionResult runStreaming(const Tensor &rows,
                                  const BlockConsumer &on_block,
                                  RowFiller fill = {}) const;
-
-    /**
-     * Start stage 1 (hashing) of a streaming pass without touching
-     * any MCACHE state: with a pool, self-replenishing hash tasks
-     * begin immediately; without one, hashing is deferred into
-     * finishStreaming. The returned job must be passed to
-     * finishStreaming exactly once; `rows` must outlive it. Safe to
-     * call while filter tasks of a *previous* pass still run against
-     * the cache — this is the cross-channel overlap (ROADMAP):
-     * channel c+1 extracts and hashes while channel c's trailing
-     * filter groups drain. With a RowFiller the hash tasks also
-     * *extract* their block right before projecting it, which both
-     * fuses the two walks and moves extraction off the driving
-     * thread.
-     */
-    std::unique_ptr<DetectionHashJob> beginHash(const Tensor &rows,
-                                                RowFiller fill = {}) const;
-
-    /**
-     * Second half of a streaming pass: clears the cache (the new
-     * vector population arrived, §III-B3), probes the hashed blocks
-     * in ascending order on the calling thread, and delivers each to
-     * `on_block` under the runStreaming ordering/lifetime contract.
-     * Consumes the job.
-     */
-    DetectionResult finishStreaming(DetectionHashJob &job,
-                                    const BlockConsumer &on_block) const;
 
     /**
      * Replay a recorded pass through the block hand-off: blocks of

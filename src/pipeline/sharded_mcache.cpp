@@ -1,7 +1,6 @@
 #include "pipeline/sharded_mcache.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -234,16 +233,17 @@ ShardedMCache::TenantQuotaGate::tryReserve(int tenant)
     if (tenant >= maxTenants_)
         panic("tenant id ", tenant, " out of quota-gate range 0..",
               maxTenants_ - 1);
-    // Reserve-then-check: bump first so two racing inserts cannot
-    // both observe quota - 1 and sneak past the limit.
-    const int64_t now = counts_[static_cast<size_t>(tenant)].fetch_add(
-                            1, std::memory_order_relaxed) +
-                        1;
-    if (now > quota_) {
-        counts_[static_cast<size_t>(tenant)].fetch_sub(
-            1, std::memory_order_relaxed);
-        return false;
-    }
+    // Check-and-increment in one compare-exchange: the counter only
+    // moves while it is below the quota, so no reader (and no racing
+    // insert) ever observes the tenant over its quota, not even
+    // transiently.
+    std::atomic<int64_t> &count = counts_[static_cast<size_t>(tenant)];
+    int64_t cur = count.load(std::memory_order_relaxed);
+    do {
+        if (cur >= quota_)
+            return false;
+    } while (!count.compare_exchange_weak(cur, cur + 1,
+                                          std::memory_order_relaxed));
     return true;
 }
 
@@ -402,16 +402,10 @@ ShardedMCache::lookupMix() const
     HitMix mix;
     for (size_t s = 0; s < shards_.size(); ++s) {
         std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        const StatGroup &stats = shards_[s]->stats();
-        const auto count = [&stats](const char *name) -> int64_t {
-            return stats.has(name)
-                       ? static_cast<int64_t>(
-                             std::llround(stats.get(name).value()))
-                       : 0;
-        };
-        mix.hit += count("hits");
-        mix.mau += count("mau");
-        mix.mnu += count("mnu");
+        const MCache::Counters &c = shards_[s]->counters();
+        mix.hit += static_cast<int64_t>(c.hits);
+        mix.mau += static_cast<int64_t>(c.mau);
+        mix.mnu += static_cast<int64_t>(c.mnu);
     }
     mix.vectors = mix.hit + mix.mau + mix.mnu;
     return mix;

@@ -178,9 +178,9 @@ class ShardedMCache
     /**
      * Enable a per-tenant line quota: once a tenant holds `entries`
      * valid lines, further inserts for it become MNU until eviction
-     * frees lines. Reservation is atomic (reserve-then-check), so the
-     * quota is never exceeded even under concurrent interleaved
-     * inserts. `entries` <= 0 disables the gate. Tenants are ids in
+     * frees lines. Reservation is one compare-exchange that increments
+     * only below the quota, so the count never exceeds the quota even
+     * under concurrent interleaved inserts. `entries` <= 0 disables the gate. Tenants are ids in
      * [0, max_tenants); id -1 (unowned) is never gated.
      */
     void setTenantQuota(int64_t entries, int max_tenants = 64);
@@ -227,9 +227,10 @@ class ShardedMCache
 
   private:
     /**
-     * Atomic per-tenant line counter behind McacheQuotaGate: reserve
-     * first, then check — an over-quota reservation is rolled back, so
-     * concurrent inserts can never push a tenant past its quota.
+     * Atomic per-tenant line counter behind McacheQuotaGate: a
+     * compare-exchange loop increments only while the count is below
+     * the quota, so concurrent inserts can never push a tenant past
+     * it, and a concurrent tenantReserved() never reads over-quota.
      */
     class TenantQuotaGate : public McacheQuotaGate
     {

@@ -75,23 +75,13 @@ SignatureRecord::restore(std::vector<Pass> passes, int data_versions,
     entries_ = entries;
 }
 
-void
-SignatureRecord::capturePass(const DetectionResult &det, int bits,
-                             int data_versions, int64_t entries)
-{
-    if (bits <= 0 || data_versions <= 0 || entries <= 0)
-        panic("capturePass needs positive bits/versions/entries, got ",
-              bits, "/", data_versions, "/", entries);
-    if (!passes_.empty() &&
-        (dataVersions_ != data_versions || entries_ != entries)) {
-        panic("record passes span different cache organizations: ",
-              dataVersions_, "v/", entries_, " then ", data_versions,
-              "v/", entries);
-    }
-    dataVersions_ = data_versions;
-    entries_ = entries;
+namespace {
 
-    Pass p;
+/** Pack a finished detection result into a recorded pass. */
+SignatureRecord::Pass
+packPass(const DetectionResult &det, int bits, int64_t entries)
+{
+    SignatureRecord::Pass p;
     p.rows = det.hitmap.size();
     p.bits = bits;
     p.sigWordsPerRow = (bits + 63) / 64;
@@ -121,7 +111,51 @@ SignatureRecord::capturePass(const DetectionResult &det, int bits,
             static_cast<uint8_t>(det.hitmap.outcome(i));
     }
     p.mix = det.mix();
-    passes_.push_back(std::move(p));
+    return p;
+}
+
+} // namespace
+
+void
+SignatureRecord::capturePass(const DetectionResult &det, int bits,
+                             int data_versions, int64_t entries)
+{
+    if (bits <= 0 || data_versions <= 0 || entries <= 0)
+        panic("capturePass needs positive bits/versions/entries, got ",
+              bits, "/", data_versions, "/", entries);
+    if (!passes_.empty() &&
+        (dataVersions_ != data_versions || entries_ != entries)) {
+        panic("record passes span different cache organizations: ",
+              dataVersions_, "v/", entries_, " then ", data_versions,
+              "v/", entries);
+    }
+    dataVersions_ = data_versions;
+    entries_ = entries;
+    passes_.push_back(packPass(det, bits, entries));
+}
+
+void
+SignatureRecord::resizePasses(int64_t n, int data_versions, int64_t entries)
+{
+    if (n < 0 || data_versions <= 0 || entries <= 0)
+        panic("resizePasses needs n >= 0 and positive versions/entries, "
+              "got ",
+              n, "/", data_versions, "/", entries);
+    passes_.clear();
+    passes_.resize(static_cast<size_t>(n));
+    dataVersions_ = data_versions;
+    entries_ = entries;
+}
+
+void
+SignatureRecord::capturePassAt(int64_t i, const DetectionResult &det,
+                               int bits)
+{
+    if (bits <= 0)
+        panic("capturePassAt needs positive bits, got ", bits);
+    if (i < 0 || i >= passCount())
+        panic("record slot ", i, " outside ", passCount(), " sized slots");
+    passes_[static_cast<size_t>(i)] = packPass(det, bits, entries_);
 }
 
 void

@@ -113,17 +113,18 @@ class SignatureRecord
     void clear();
 
     /**
-     * Reserve capacity for `n` passes. The planner knows a layer's
-     * exact pass count ahead of the step (core/runtime_planner.hpp),
-     * so planned captures size the pass vector once instead of
-     * growing it across the forward's channel passes. Capacity only —
-     * no semantic change.
+     * Drop every pass, then size the record to `n` empty pass slots
+     * against one cache organization, for capturePassAt. The conv lane
+     * path finishes channel passes out of order, on several threads,
+     * so each is captured straight into its forward-order slot.
      */
-    void reservePasses(int64_t n)
-    {
-        if (n > 0)
-            passes_.reserve(static_cast<size_t>(n));
-    }
+    void resizePasses(int64_t n, int data_versions, int64_t entries);
+
+    /**
+     * Capture a finished detection result into slot `i` (see
+     * resizePasses). Distinct slots may be captured concurrently.
+     */
+    void capturePassAt(int64_t i, const DetectionResult &det, int bits);
 
     /**
      * Append one pass captured from a finished detection result.

@@ -92,9 +92,9 @@ modelPlannedStep(const AcceleratorConfig &cfg,
             const int64_t pred_passes = passesPerStep(
                 stack[static_cast<size_t>(prev_conv)], batch);
             // One trailing channel-pass of predecessor compute is the
-            // window the prefetch hook opens (the successor's first
-            // hash launches once the last input-channel pass's first
-            // chain drains).
+            // window a fused edge opens (the successor's first hash
+            // can launch once the last input-channel pass's first
+            // filters drain).
             const uint64_t window =
                 pred_passes > 0
                     ? pred.computation /

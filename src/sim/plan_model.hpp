@@ -27,10 +27,9 @@
  *
  * The model is deliberately conservative: edges hide signature time
  * only (never compute or cache overhead), and at most the
- * predecessor's single trailing channel-pass window — exactly the
- * window the functional prefetch hook exposes (ConvPlanSlot::
- * prefetchNext fires after the first chain of the last input-channel
- * pass drains).
+ * predecessor's single trailing channel-pass window — output channel
+ * 0 of image 0 is final once the first filters of the last
+ * input-channel pass have drained.
  */
 
 #ifndef MERCURY_SIM_PLAN_MODEL_HPP

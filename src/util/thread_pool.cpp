@@ -345,17 +345,29 @@ namespace {
 struct ForJob
 {
     std::atomic<int64_t> next{0};
+    std::atomic<int64_t> done{0};
     int64_t items = 0;
     const std::function<void(int64_t)> *fn = nullptr;
-    std::atomic<int> pendingDrivers{0};
     std::mutex doneMutex;
     std::condition_variable doneCv;
 
+    /**
+     * Claim and run items until none are left. The join counts
+     * completed ITEMS, not drivers: only the driver that finishes the
+     * last item signals, and a helper that starts after every item was
+     * claimed returns without touching the join (or `fn`, which may
+     * be gone by then — the caller only waits for its items).
+     */
     void drive()
     {
         int64_t i;
-        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < items)
+        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < items) {
             (*fn)(i);
+            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == items) {
+                std::lock_guard<std::mutex> lock(doneMutex);
+                doneCv.notify_all();
+            }
+        }
     }
 };
 
@@ -376,27 +388,25 @@ ThreadPool::parallelFor(int64_t items,
     auto job = std::make_shared<ForJob>();
     job->items = items;
     job->fn = &fn;
-    const int drivers = static_cast<int>(std::min<int64_t>(
-        static_cast<int64_t>(threads_.size()), items));
-    job->pendingDrivers.store(drivers);
-    // Helper drivers are queued, never run inline: the caller drives
-    // the loop itself below, so inlining one here would serialize it.
-    for (int k = 0; k < drivers; ++k) {
-        enqueue(new Task([job] {
-            job->drive();
-            if (job->pendingDrivers.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lock(job->doneMutex);
-                job->doneCv.notify_all();
-            }
-        }));
-    }
+    // One helper per other item at most (the caller takes one itself),
+    // capped at the worker count. Helpers are queued, never run
+    // inline: the caller drives the loop itself below, so inlining one
+    // here would serialize it. A helper that wakes late finds nothing
+    // left and exits; the caller never waits for it.
+    const int64_t helpers = std::min<int64_t>(
+        static_cast<int64_t>(threads_.size()), items - 1);
+    for (int64_t k = 0; k < helpers; ++k)
+        enqueue(new Task([job] { job->drive(); }));
 
     // The caller is an executor too: no thread idles during a loop.
     job->drive();
 
+    if (job->done.load(std::memory_order_acquire) == items)
+        return;
     std::unique_lock<std::mutex> lock(job->doneMutex);
-    job->doneCv.wait(lock,
-                     [&job] { return job->pendingDrivers.load() == 0; });
+    job->doneCv.wait(lock, [&job, items] {
+        return job->done.load(std::memory_order_acquire) == items;
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class ThreadPool
     /**
      * Enqueue an independent group of tasks in one operation. A
      * caller that knows its next wave of work up front (the planned
-     * execution path; DetectionHashJob's seed tasks) hands it over in
+     * execution path; the streaming pass's hash seeds) hands it over in
      * one push — from a worker the whole batch lands in its own deque
      * lock-free; from outside, one injection-queue lock covers the
      * batch. Tasks of a batch may run in any order (stealing
@@ -112,9 +112,11 @@ class ThreadPool
 
     /**
      * Run fn(0) .. fn(items - 1) across the pool and the calling
-     * thread, returning when every item completed. Indices are
-     * dynamically scheduled; fn must not assume any ordering. Safe to
-     * call with an empty pool (runs inline).
+     * thread, returning when every item completed — not when every
+     * queued helper has run: if the workers are busy elsewhere, the
+     * caller runs all items itself and returns without waiting for
+     * them. Indices are dynamically scheduled; fn must not assume any
+     * ordering. Safe to call with an empty pool (runs inline).
      */
     void parallelFor(int64_t items, const std::function<void(int64_t)> &fn);
 

@@ -405,7 +405,7 @@ TEST(ShardedLifecycle, QuotaNeverExceededUnderConcurrentInserts)
     // for the same tenant (the insert-tenant stamp is cache-global,
     // so concurrency happens within one tenant — exactly how the
     // server's intra-pass worker threads hit the gate). The
-    // reserve-then-check gate must keep the tenant at or below quota
+    // compare-exchange gate must keep the tenant at or below quota
     // at every instant, regardless of interleaving.
     constexpr int kTenant = 2;
     constexpr int64_t kQuota = 24;

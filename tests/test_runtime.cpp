@@ -22,12 +22,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
 #include "core/fc_engine.hpp"
 #include "core/reuse_runtime.hpp"
+#include "core/runtime_planner.hpp"
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
 #include "nn/mercury_hooks.hpp"
@@ -484,6 +486,161 @@ TEST(RuntimeAttentionGolden, SerialEqualsOverlappedAllThreePasses)
     Tensor go = overlap.backward(x, grad, orec, 0, ob, &xtx_o);
     EXPECT_TRUE(gs == go) << "attention backward";
     expectStatsEqual(sb, ob, "attention backward");
+}
+
+// ---------------------------------------------------------------------
+// Lane identity: conv passes dealt to per-executor lanes (images for
+// forward and dX, (group, channel) columns for dW) must reproduce the
+// 1-thread run bit for bit at any forced thread count — outputs,
+// gradients, the captured SignatureRecord, and every statistic —
+// including minibatches of one and minibatches the lane count does
+// not divide. The persistent-cache mode pins the ordered path the
+// same way. Runs under TSan in CI.
+// ---------------------------------------------------------------------
+
+/** Everything one conv layer call produces through a context. */
+struct LaneRun
+{
+    Tensor y, dx, dw;
+    SignatureRecord record;
+    ReuseStats fwd, bwd, wgrad;
+};
+
+enum class LaneMode
+{
+    Unplanned,
+    Planned,
+    Persistent, ///< ordered path (passes depend on earlier passes)
+};
+
+LaneRun
+runConvThroughContext(const ConvCase &tc, int64_t batch, int threads,
+                      LaneMode mode)
+{
+    constexpr uint64_t kLayer = 7;
+    const ConvSpec spec =
+        convSpec(tc.cin, tc.cout, tc.k, tc.stride, tc.pad, tc.groups);
+    Tensor in =
+        similarInput(batch, tc.cin, tc.hw, tc.hw, 0.02f, kSeed + 90);
+    Rng rng(kSeed + 91);
+    Tensor w({tc.cout, tc.cin / tc.groups, tc.k, tc.k});
+    w.fillNormal(rng);
+    Tensor bias({tc.cout});
+    bias.fillNormal(rng);
+    Tensor grad({batch, tc.cout, spec.outH(tc.hw), spec.outW(tc.hw)});
+    grad.fillNormal(rng);
+
+    MercuryContext ctx(16, kSets, kWays, kVersions, kSeed);
+    PipelineConfig pipe = serialPipe();
+    pipe.threads = threads;
+    pipe.overlap = OverlapMode::On;
+    pipe.persistent = mode == LaneMode::Persistent;
+    ctx.setPipeline(pipe);
+    ctx.setBackwardReuse(true);
+    ctx.setWeightGradReuse(true);
+    ctx.setPlanExecution(mode == LaneMode::Planned);
+    ConvPlanSlot *slot = nullptr;
+    if (mode == LaneMode::Planned) {
+        StepDescBuilder desc({batch, tc.cin, tc.hw, tc.hw});
+        desc.conv(kLayer, spec);
+        ctx.bindStepPlan(desc);
+        slot = ctx.convPlanFor(kLayer);
+        EXPECT_NE(slot, nullptr);
+    }
+
+    ConvReuseEngine engine(ctx.frontendFor(kLayer), ctx.signatureBits(),
+                           &ctx.convLanes());
+    LaneRun r;
+    r.y = engine.forward(in, w, bias, spec, r.fwd, &r.record, slot);
+    r.dx = engine.backwardInput(grad, w, spec, tc.hw, tc.hw, r.record,
+                                r.bwd);
+    r.dw = engine.backwardWeights(in, grad, spec, r.record, r.wgrad);
+    return r;
+}
+
+void
+expectRecordsEqual(const SignatureRecord &a, const SignatureRecord &b,
+                   const std::string &what)
+{
+    ASSERT_EQ(a.passCount(), b.passCount()) << what;
+    EXPECT_EQ(a.dataVersions(), b.dataVersions()) << what;
+    EXPECT_EQ(a.entries(), b.entries()) << what;
+    for (int64_t i = 0; i < a.passCount(); ++i) {
+        const SignatureRecord::Pass &pa = a.pass(i);
+        const SignatureRecord::Pass &pb = b.pass(i);
+        EXPECT_EQ(pa.rows, pb.rows) << what << " pass " << i;
+        EXPECT_EQ(pa.bits, pb.bits) << what << " pass " << i;
+        EXPECT_EQ(pa.sigWords, pb.sigWords) << what << " pass " << i;
+        EXPECT_EQ(pa.entryIds, pb.entryIds) << what << " pass " << i;
+        EXPECT_EQ(pa.outcomes, pb.outcomes) << what << " pass " << i;
+        EXPECT_EQ(pa.mix.hit, pb.mix.hit) << what << " pass " << i;
+        EXPECT_EQ(pa.mix.mau, pb.mix.mau) << what << " pass " << i;
+        EXPECT_EQ(pa.mix.mnu, pb.mix.mnu) << what << " pass " << i;
+    }
+}
+
+TEST(RuntimeLanes, EveryThreadCountMatchesOneThread)
+{
+    const ConvCase cases[] = {
+        {"standard", 3, 8, 3, 1, 1, 1, 10},
+        {"grouped", 8, 12, 3, 2, 1, 4, 11},
+        {"depthwise", 6, 6, 3, 1, 1, 6, 9},
+    };
+    const struct
+    {
+        const char *name;
+        LaneMode mode;
+    } modes[] = {
+        {"unplanned", LaneMode::Unplanned},
+        {"planned", LaneMode::Planned},
+        {"persistent", LaneMode::Persistent},
+    };
+    // 1 image, and 5 images: not a multiple of 2, 4 or 8 lanes.
+    for (const ConvCase &tc : cases) {
+        for (const int64_t batch : {int64_t{1}, int64_t{5}}) {
+            for (const auto &m : modes) {
+                const LaneRun ref = runConvThroughContext(tc, batch, 1,
+                                                          m.mode);
+                ASSERT_GT(ref.fwd.mix.hit, 0)
+                    << tc.name << ": similar input must produce hits";
+                for (const int threads : {2, 4, 8}) {
+                    const std::string what =
+                        std::string(tc.name) + " " + m.name + " batch " +
+                        std::to_string(batch) + " threads " +
+                        std::to_string(threads);
+                    const LaneRun r =
+                        runConvThroughContext(tc, batch, threads, m.mode);
+                    EXPECT_TRUE(r.y == ref.y) << what << " forward";
+                    EXPECT_TRUE(r.dx == ref.dx) << what << " dX";
+                    EXPECT_TRUE(r.dw == ref.dw) << what << " dW";
+                    expectRecordsEqual(ref.record, r.record, what);
+                    expectStatsEqual(ref.fwd, r.fwd, what.c_str());
+                    expectStatsEqual(ref.bwd, r.bwd, what.c_str());
+                    expectStatsEqual(ref.wgrad, r.wgrad, what.c_str());
+                }
+            }
+        }
+    }
+}
+
+TEST(RuntimeLanes, OneLanePerExecutorSharedAcrossLayers)
+{
+    // The context's lanes track its pool (workers + driving thread)
+    // and serve every conv layer: two layers of different shapes run
+    // on the same lanes without growing them.
+    MercuryContext ctx(16, kSets, kWays, kVersions, kSeed);
+    PipelineConfig pipe = serialPipe();
+    pipe.threads = 3;
+    ctx.setPipeline(pipe);
+    Rng rng(kSeed + 92);
+    Conv2dLayer a(3, 6, 3, 1, 1, rng, 1);
+    Conv2dLayer b(6, 4, 3, 2, 1, rng, 2, 2);
+    Tensor x = similarInput(6, 3, 10, 10, 0.02f, kSeed + 93);
+    Tensor h = a.forward(x, &ctx);
+    EXPECT_EQ(ctx.convLanes().count(), 3);
+    b.forward(h, &ctx);
+    EXPECT_EQ(ctx.convLanes().count(), 3);
+    EXPECT_EQ(ctx.totals().channelPasses, 6 * 3 + 6 * 6);
 }
 
 // ---------------------------------------------------------------------

@@ -398,37 +398,55 @@ TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
 
 TEST(ThreadPool, StealingRedistributesWorkWithoutBreakingChainOrder)
 {
-    // Fan a noise wave out from inside one worker task so the whole
-    // wave lands in that worker's own deque and the other workers have
-    // to steal it, while a SerialExecutor chain runs alongside. The
-    // chain contract must hold no matter which worker a stolen pump
-    // lands on.
+    // Fan a noise wave out from inside one worker task as one batch,
+    // so the whole wave lands in that worker's own deque, and keep the
+    // spawning task busy until another worker has run part of it: the
+    // others can only reach the wave by stealing. (A wave submitted
+    // task by task runs inline whenever no peer is idle, so on a
+    // loaded host it could leave nothing to steal.) A SerialExecutor
+    // chain runs alongside; the chain contract must hold no matter
+    // which worker a stolen pump lands on. The wait for a thief is
+    // bounded, and running out of time fails the test.
+    constexpr int kRounds = 8;
+    constexpr int kWave = 64;
     ThreadPool pool(3);
     SerialExecutor chain(&pool);
     TaskGroup noise(&pool);
     std::vector<int> order;
     std::atomic<int> noise_ran{0};
+    std::atomic<bool> timed_out{false};
     int blocks = 0;
-    for (int round = 0; round < 50; ++round) {
+    for (int round = 0; round < kRounds; ++round) {
         noise.run([&] {
-            for (int i = 0; i < 64; ++i)
-                noise.run([&] {
-                    noise_ran.fetch_add(1);
-                    std::this_thread::yield();
-                });
+            const std::thread::id spawner = std::this_thread::get_id();
+            auto stolen = std::make_shared<std::atomic<bool>>(false);
+            noise.runBatch(kWave, [&noise_ran, spawner, stolen] {
+                if (std::this_thread::get_id() != spawner)
+                    stolen->store(true);
+                noise_ran.fetch_add(1);
+                std::this_thread::yield();
+            });
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!stolen->load()) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timed_out.store(true);
+                    break;
+                }
+                std::this_thread::yield();
+            }
         });
         for (int b = 0; b < 16; ++b, ++blocks)
             chain.run([&order, blocks] { order.push_back(blocks); });
         noise.wait();
         chain.wait();
-        if (pool.stealCount() > 0 && round >= 4)
-            break;
     }
+    EXPECT_FALSE(timed_out.load()) << "no worker stole from the wave";
     EXPECT_GT(pool.stealCount(), 0); // the sweep actually migrated work
     ASSERT_EQ(order.size(), static_cast<size_t>(blocks));
     for (int b = 0; b < blocks; ++b)
         EXPECT_EQ(order[static_cast<size_t>(b)], b);
-    EXPECT_EQ(noise_ran.load() % 64, 0);
+    EXPECT_EQ(noise_ran.load(), kRounds * kWave);
 }
 
 TEST(ThreadPool, InlineExecutionIsDepthBounded)
@@ -492,6 +510,59 @@ TEST(ThreadPool, NonWorkerSubmitIsAsynchronousEvenWhenSaturated)
     for (int spin = 0; ran.load() != 8 && spin < 20000; ++spin)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
     EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, ParallelForJoinsItemsNotHelpers)
+{
+    // parallelFor's join waits for the ITEMS, not for the queued
+    // helper drivers: with every worker blocked on a latch, a call
+    // from a non-worker thread must still return — the caller runs
+    // every item itself. The latch opens only after the call returns;
+    // its timeout (a failure) keeps a broken join from hanging.
+    constexpr int kWorkers = 3;
+    ThreadPool pool(kWorkers);
+    std::mutex m;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> blocked{0};
+    std::atomic<bool> timed_out{false};
+    for (int w = 0; w < kWorkers; ++w) {
+        pool.submit([&] {
+            blocked.fetch_add(1);
+            std::unique_lock<std::mutex> lock(m);
+            if (!cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return release; }))
+                timed_out.store(true);
+        });
+    }
+    while (blocked.load() != kWorkers)
+        std::this_thread::yield();
+
+    constexpr int64_t kItems = 64;
+    std::vector<int> hits(kItems, 0);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> off_caller{false};
+    pool.parallelFor(kItems, [&](int64_t i) {
+        if (std::this_thread::get_id() != caller)
+            off_caller.store(true);
+        ++hits[static_cast<size_t>(i)];
+    });
+    const bool returned_before_release = !timed_out.load();
+    {
+        std::lock_guard<std::mutex> lock(m);
+        release = true;
+    }
+    cv.notify_all();
+
+    EXPECT_TRUE(returned_before_release)
+        << "parallelFor waited for blocked helpers";
+    EXPECT_FALSE(off_caller.load());
+    for (int64_t i = 0; i < kItems; ++i)
+        EXPECT_EQ(hits[static_cast<size_t>(i)], 1) << i;
+    // The late helpers find nothing left; the pool keeps working.
+    std::atomic<int> after{0};
+    pool.parallelFor(16, [&](int64_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 16);
 }
 
 TEST(ThreadPool, ParkWakeSurvivesRepeatedIdleBurstCycles)
