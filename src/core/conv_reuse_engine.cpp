@@ -387,7 +387,6 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                 ReuseRuntime::FilterPassSet set;
                 set.rows = geo.v;
                 set.filters = geo.coutG;
-                set.inFlight = geo.coutG;
                 set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
                     return filterSegment(
                         plane, rows, row_results.data(),

@@ -27,10 +27,6 @@ MCache::MCache(int sets, int ways, int data_versions)
         fatal("MCACHE needs positive sets/ways/versions, got ", sets, "/",
               ways, "/", data_versions);
     lines_.resize(static_cast<size_t>(sets) * static_cast<size_t>(ways));
-    for (auto &l : lines_) {
-        l.data.assign(static_cast<size_t>(versions_), 0.0f);
-        l.validData.assign(static_cast<size_t>(versions_), false);
-    }
     insertBacklog_.assign(static_cast<size_t>(sets), 0);
 }
 
@@ -48,12 +44,8 @@ MCache::stats() const
     put("mnu", c.mnu);
     put("inserts", c.inserts);
     put("quotaRejects", c.quotaRejects);
-    put("dataReads", c.dataReads);
-    put("dataWrites", c.dataWrites);
-    put("dataInvalidations", c.dataInvalidations);
     put("clears", c.clears);
     put("evictions", c.evictions);
-    put("evictionPinSkips", c.evictionPinSkips);
     put("restores", c.restores);
     return g;
 }
@@ -113,7 +105,6 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
             }
             l.tag = sig;
             l.validTag = true;
-            std::fill(l.validData.begin(), l.validData.end(), false);
             l.epoch = epoch_;
             l.tenant = insertTenant_;
             ++counters_.mau;
@@ -126,50 +117,6 @@ MCache::lookupOrInsertInSet(int set, const Signature &sig)
     return {McacheOutcome::Mnu, -1};
 }
 
-bool
-MCache::dataValid(int64_t entry_id, int version) const
-{
-    const Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    return l.validData[static_cast<size_t>(version)];
-}
-
-float
-MCache::readData(int64_t entry_id, int version) const
-{
-    const Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    if (!l.validData[static_cast<size_t>(version)])
-        panic("MCACHE read of invalid data: entry ", entry_id,
-              " version ", version);
-    ++counters_.dataReads;
-    return l.data[static_cast<size_t>(version)];
-}
-
-void
-MCache::writeData(int64_t entry_id, int version, float value)
-{
-    Line &l = line(entry_id);
-    if (version < 0 || version >= versions_)
-        panic("MCACHE data version ", version, " out of range");
-    if (!l.validTag)
-        panic("MCACHE data write to a line with no valid tag: entry ",
-              entry_id);
-    l.data[static_cast<size_t>(version)] = value;
-    l.validData[static_cast<size_t>(version)] = true;
-    ++counters_.dataWrites;
-}
-
-void
-MCache::invalidateAllData()
-{
-    for (auto &l : lines_)
-        std::fill(l.validData.begin(), l.validData.end(), false);
-    ++counters_.dataInvalidations;
-}
-
 void
 MCache::clear()
 {
@@ -177,10 +124,8 @@ MCache::clear()
         if (l.validTag && quotaGate_)
             quotaGate_->release(l.tenant);
         l.validTag = false;
-        std::fill(l.validData.begin(), l.validData.end(), false);
         l.epoch = 0;
         l.tenant = -1;
-        l.pins = 0;
     }
     std::fill(insertBacklog_.begin(), insertBacklog_.end(), 0);
     ++counters_.clears;
@@ -250,36 +195,11 @@ MCache::tenantEntries(int tenant) const
 }
 
 void
-MCache::pin(int64_t entry_id)
-{
-    Line &l = line(entry_id);
-    if (!l.validTag)
-        panic("MCACHE pin of an invalid line: entry ", entry_id);
-    ++l.pins;
-}
-
-void
-MCache::unpin(int64_t entry_id)
-{
-    Line &l = line(entry_id);
-    if (l.pins == 0)
-        panic("MCACHE unpin of an unpinned line: entry ", entry_id);
-    --l.pins;
-}
-
-uint32_t
-MCache::pinCount(int64_t entry_id) const
-{
-    return line(entry_id).pins;
-}
-
-void
 MCache::evictLine(Line &l)
 {
     if (quotaGate_)
         quotaGate_->release(l.tenant);
     l.validTag = false;
-    std::fill(l.validData.begin(), l.validData.end(), false);
     l.epoch = 0;
     l.tenant = -1;
     ++counters_.evictions;
@@ -292,10 +212,6 @@ MCache::evictOlderThan(uint64_t min_epoch)
     for (auto &l : lines_) {
         if (!l.validTag || l.epoch >= min_epoch)
             continue;
-        if (l.pins > 0) {
-            ++counters_.evictionPinSkips;
-            continue;
-        }
         evictLine(l);
         ++evicted;
     }
@@ -309,10 +225,6 @@ MCache::evictTenant(int tenant)
     for (auto &l : lines_) {
         if (!l.validTag || l.tenant != tenant)
             continue;
-        if (l.pins > 0) {
-            ++counters_.evictionPinSkips;
-            continue;
-        }
         evictLine(l);
         ++evicted;
     }
@@ -328,10 +240,8 @@ MCache::restoreLine(int64_t entry_id, const Signature &sig,
         panic("MCACHE restore into an occupied line: entry ", entry_id);
     l.tag = sig;
     l.validTag = true;
-    std::fill(l.validData.begin(), l.validData.end(), false);
     l.epoch = epoch;
     l.tenant = tenant;
-    l.pins = 0;
     ++counters_.restores;
 }
 

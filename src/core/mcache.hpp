@@ -4,19 +4,19 @@
  * (§III-B3, §III-C1, §V).
  *
  * Differences from an ordinary cache, per the paper:
- *  - the tag (signature) becomes valid before the data (computed dot
- *    products), so every line has a Valid-Tag bit and per-version
- *    Valid-Data bits that are set independently;
  *  - there is no replacement: inserting into a full set fails (the
  *    requesting vector becomes Miss-No-Update);
- *  - the data portion is multi-version (one slot per in-flight
- *    filter) so the asynchronous design can keep results of several
- *    filters alive at once;
- *  - a bitline clears every Valid-Data bit in one operation when the
- *    PE array moves to the next filter (synchronous design);
- *  - entries are also addressable by a dense id so later accesses
- *    skip tag comparison (§V), and per-set insert queues serialize
+ *  - entries are addressable by a dense id so later accesses skip tag
+ *    comparison (§V), and per-set insert queues serialize
  *    simultaneous inserts.
+ *
+ * This class is the tag plane only. The paper's multi-version data
+ * portion (one result slot per in-flight filter, Valid-Data bits set
+ * after the tag, a bitline clearing them per filter) is carried by
+ * the engines' PassDataPlane (core/pass_arena.hpp), indexed by the
+ * entry ids this class hands out. The version count survives here as
+ * geometry: dataVersions() feeds the cycle model and the snapshot
+ * format.
  */
 
 #ifndef MERCURY_CORE_MCACHE_HPP
@@ -73,7 +73,7 @@ class MCache
     /**
      * @param sets          number of sets
      * @param ways          associativity
-     * @param data_versions data slots per line (in-flight filters M)
+     * @param data_versions in-flight filters M (cycle-model geometry)
      */
     MCache(int sets, int ways, int data_versions);
 
@@ -97,22 +97,7 @@ class MCache
      */
     McacheResult lookupOrInsertInSet(int set, const Signature &sig);
 
-    /** True if the entry's data for `version` is valid. */
-    bool dataValid(int64_t entry_id, int version) const;
-
-    /** Read a computed result; panics if the version is invalid. */
-    float readData(int64_t entry_id, int version) const;
-
-    /** Write a computed result and set its VD bit. */
-    void writeData(int64_t entry_id, int version, float value);
-
-    /**
-     * Clear every VD bit (the bitline): used by the synchronous
-     * design when PE sets move to the next filter. Tags survive.
-     */
-    void invalidateAllData();
-
-    /** Clear tags and data: a new channel's vectors arrived. */
+    /** Clear every tag: a new channel's vectors arrived. */
     void clear();
 
     /** Set index a signature maps to (exposed for tests). */
@@ -152,11 +137,8 @@ class MCache
     // ---- Lifecycle metadata (serving layer) -------------------------
     //
     // Every line carries a last-touch epoch (stamped on insert,
-    // refreshed on HIT), an owning tenant (stamped on insert), and a
-    // pin count. Eviction sweeps remove valid lines by epoch age or by
-    // tenant but never remove a pinned line, so a client holding a
-    // HIT's entry id across an eviction sweep pins it first (see
-    // docs/ARCHITECTURE.md, "Serving layer").
+    // refreshed on HIT) and an owning tenant (stamped on insert).
+    // Eviction sweeps remove valid lines by epoch age or by tenant.
 
     /** Epoch stamped on inserts and refreshed on HITs from now on. */
     void setEpoch(uint64_t epoch) { epoch_ = epoch; }
@@ -184,27 +166,21 @@ class MCache
     /** Valid lines currently stamped with `tenant`. */
     int64_t tenantEntries(int tenant) const;
 
-    /** Pin a valid line against eviction / unpin it again. */
-    void pin(int64_t entry_id);
-    void unpin(int64_t entry_id);
-    uint32_t pinCount(int64_t entry_id) const;
-
     /**
-     * Evict valid, unpinned lines last touched before `min_epoch`
-     * (epoch-tag aging: oldest lines go first as the floor rises).
-     * Returns the number of lines evicted; pinned survivors are
-     * counted in the "evictionPinSkips" stat.
+     * Evict valid lines last touched before `min_epoch` (epoch-tag
+     * aging: oldest lines go first as the floor rises). Returns the
+     * number of lines evicted.
      */
     int64_t evictOlderThan(uint64_t min_epoch);
 
-    /** Evict every valid, unpinned line stamped with `tenant`. */
+    /** Evict every valid line stamped with `tenant`. */
     int64_t evictTenant(int tenant);
 
     /**
      * Snapshot restore: install a tag plus lifecycle metadata into an
      * empty line (panics if the line already holds a valid tag — the
-     * restore target must be cleared first). Data versions start
-     * invalid; the quota gate is bypassed, callers recount
+     * restore target must be cleared first). The quota gate is
+     * bypassed; callers recount
      * reservations afterwards (ShardedMCache::recountTenantReservations).
      */
     void restoreLine(int64_t entry_id, const Signature &sig,
@@ -221,18 +197,14 @@ class MCache
         uint64_t mnu = 0;
         uint64_t inserts = 0;
         uint64_t quotaRejects = 0;
-        uint64_t dataReads = 0;
-        uint64_t dataWrites = 0;
-        uint64_t dataInvalidations = 0;
         uint64_t clears = 0;
         uint64_t evictions = 0;
-        uint64_t evictionPinSkips = 0;
         uint64_t restores = 0;
     };
     const Counters &counters() const { return counters_; }
 
     /**
-     * Lifetime statistics (hits, mau, mnu, inserts, dataReads, ...)
+     * Lifetime statistics (hits, mau, mnu, inserts, evictions, ...)
      * as a named StatGroup, built from counters() on each call. A
      * counter appears once it has counted at least one event.
      */
@@ -243,11 +215,8 @@ class MCache
     {
         Signature tag;
         bool validTag = false;
-        std::vector<float> data;
-        std::vector<bool> validData;
-        uint64_t epoch = 0;  ///< last-touch epoch (insert / HIT)
-        int tenant = -1;     ///< owning tenant (-1 = unowned)
-        uint32_t pins = 0;   ///< eviction pins (in-flight HITs)
+        uint64_t epoch = 0; ///< last-touch epoch (insert / HIT)
+        int tenant = -1;    ///< owning tenant (-1 = unowned)
     };
 
     int sets_;
@@ -258,8 +227,7 @@ class MCache
     uint64_t epoch_ = 0;
     int insertTenant_ = -1;
     McacheQuotaGate *quotaGate_ = nullptr;
-    /// Mutable: read paths (e.g. readData) count accesses too.
-    mutable Counters counters_;
+    Counters counters_;
 
     Line &line(int64_t entry_id);
     const Line &line(int64_t entry_id) const;

@@ -24,20 +24,18 @@
  *
  * ## PassDataPlane
  *
- * The flat (version, entry) value/valid store that replaces the
- * MCACHE data plane for conv-forward HIT forwarding. The ShardedMCache
- * data plane serialized every read/write behind a per-shard mutex —
- * millions of locked operations per overlapped layer pass. The reuse
- * scheduler's ordering contract makes that locking unnecessary:
- * within one in-flight filter group each filter owns one distinct
- * version slot, a filter's segments are chained in stream order
- * (owner deposit happens-before hit read on the same chain), and
- * groups are separated by joins — so no two threads ever touch the
- * same (version, entry) cell, and plain unsynchronized loads/stores
- * are race-free. Validity lives in bytes, not packed bits: two
- * filters writing neighboring entries must not share a memory
- * location. invalidateAll() requires quiescence (driving thread,
- * between groups), exactly like MCache::invalidateAllData.
+ * The flat (version, entry) value/valid store behind conv-forward HIT
+ * forwarding: the paper's multi-version MCACHE data portion (Fig. 11),
+ * kept apart from the tag-only MCache. The reuse scheduler's ordering
+ * contract makes it lock-free: each in-flight filter owns one
+ * distinct version slot, and a filter's segments are chained in
+ * stream order (owner deposit happens-before hit read on the same
+ * chain) — so no two threads ever touch the same (version, entry)
+ * cell, and plain unsynchronized loads/stores are race-free. Validity
+ * lives in bytes, not packed bits: two filters writing neighboring
+ * entries must not share a memory location. invalidateAll() (the
+ * paper's Valid-Data bitline) requires quiescence: driving thread,
+ * between channel passes.
  */
 
 #ifndef MERCURY_CORE_PASS_ARENA_HPP

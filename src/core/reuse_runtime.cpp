@@ -55,16 +55,10 @@ ReuseRuntime::addPassStats(const StreamSource &src,
     ++stats.channelPasses;
 }
 
-void
-ReuseRuntime::parallelChains(int64_t width,
-                             const std::function<void(int64_t)> &fn)
+ThreadPool *
+ReuseRuntime::passPool(int64_t rows)
 {
-    if (ThreadPool *p = pool()) {
-        p->parallelFor(width, fn);
-        return;
-    }
-    for (int64_t i = 0; i < width; ++i)
-        fn(i);
+    return overlappedFor(rows) ? fe_.workerPool() : nullptr;
 }
 
 DetectionResult
@@ -72,99 +66,76 @@ ReuseRuntime::runFilterPasses(const StreamSource &src,
                               const FilterPassSet &set, ReuseStats &stats)
 {
     DetectionResult det;
-    int64_t f_done = 0;
-    passPool_ =
-        overlappedFor(src.rowCount()) ? fe_.workerPool() : nullptr;
-
-    if (ThreadPool *p = passPool_) {
-        // The first in-flight group consumes the stream. Each serial
-        // chain owns a contiguous RANGE of the group's filters: every
-        // block of a filter flows through one chain in delivery order
-        // (owner-before-hit within a filter), distinct chains run in
-        // parallel, and later blocks still hash. Chain width is
-        // capped at the pool's executor count — more chains than
-        // executors cannot add parallelism, only task churn (the
-        // in-flight group can be as wide as every filter of the pass
-        // when the engine's per-filter state allows it).
-        const int64_t group0 =
-            std::min<int64_t>(set.inFlight, set.filters);
-        const int64_t nchains = std::min<int64_t>(
-            group0, static_cast<int64_t>(p->workers()) + 1);
-        const bool live = !src.isReplay();
-        sizeRowResults(src);
-
-        if (nchains == 1) {
-            // A single consumer chain cannot run in parallel with
-            // itself: its tasks would execute the same segments in
-            // the same delivery order the callback runs in, so
-            // chaining buys nothing and pays a task hand-off per
-            // block (the depthwise-dW wall collapse: 1 filter group
-            // per pass, every block a round trip through the pool).
-            // Run the range inline in the delivery callback —
-            // identical segment order, zero scheduling.
-            uint64_t s = 0;
-            det = deliver(src, [&](const DetectionBlock &blk) {
-                if (live) {
-                    std::copy(blk.results, blk.results + blk.rows(),
-                              rowResults_.begin() + blk.row0);
-                }
-                for (int64_t f = 0; f < group0; ++f)
-                    s += set.segment(f, blk.row0, blk.row1);
-            });
-            stats.macsSkipped += s;
-        } else {
-            // The consumer chains are runtime members reused across
-            // channel passes; a drained SerialExecutor is safely
-            // re-armed by its next run().
-            while (static_cast<int64_t>(chains_.size()) < nchains)
-                chains_.push_back(std::make_unique<SerialExecutor>(p));
-            std::vector<uint64_t> skipped(static_cast<size_t>(nchains),
-                                          0);
-            det = deliver(src, [&](const DetectionBlock &blk) {
-                if (live) {
-                    // The block's result pointers die with the
-                    // callback; copy into runtime-owned storage the
-                    // chains can read asynchronously.
-                    std::copy(blk.results, blk.results + blk.rows(),
-                              rowResults_.begin() + blk.row0);
-                }
-                for (int64_t c = 0; c < nchains; ++c) {
-                    const int64_t f0 = c * group0 / nchains;
-                    const int64_t f1 = (c + 1) * group0 / nchains;
-                    chains_[static_cast<size_t>(c)]->run(
-                        [&set, &skipped, c, f0, f1, r0 = blk.row0,
-                         r1 = blk.row1] {
-                            uint64_t s = 0;
-                            for (int64_t f = f0; f < f1; ++f)
-                                s += set.segment(f, r0, r1);
-                            skipped[static_cast<size_t>(c)] += s;
-                        });
-                }
-            });
-            for (int64_t c = 0; c < nchains; ++c)
-                chains_[static_cast<size_t>(c)]->wait();
-            for (const uint64_t s : skipped)
-                stats.macsSkipped += s;
-        }
-        f_done = group0;
-    } else {
+    ThreadPool *p = passPool(src.rowCount());
+    if (!p) {
+        // Run-then-filter: the whole pass is detected first, so each
+        // filter covers rows [0, rows) in one segment, in ascending
+        // filter order.
         det = consumeSerial(src);
+        for (int64_t f = 0; f < set.filters; ++f)
+            stats.macsSkipped += set.segment(f, 0, set.rows);
+        addPassStats(src, det, stats);
+        return det;
     }
 
-    // Remaining groups run whole-range: the stream has drained, so
-    // every filter covers rows [0, rows) in one segment; filters of a
-    // group fan out over the pool (each is a whole-row-range chain,
-    // so the owner-before-hit order within a filter still holds).
-    for (int64_t f0 = f_done; f0 < set.filters; f0 += set.inFlight) {
-        const int64_t f1 =
-            std::min<int64_t>(f0 + set.inFlight, set.filters);
-        if (set.beforeGroup)
-            set.beforeGroup(f0, f1);
-        std::vector<uint64_t> skipped(static_cast<size_t>(f1 - f0), 0);
-        parallelChains(f1 - f0, [&](int64_t i) {
-            skipped[static_cast<size_t>(i)] =
-                set.segment(f0 + i, 0, set.rows);
+    // Every filter consumes the stream. Each serial chain owns a
+    // contiguous RANGE of the filters: every block of a filter flows
+    // through one chain in delivery order (owner-before-hit within a
+    // filter), distinct chains run in parallel, and later blocks still
+    // hash. Chain width is capped at the pool's executor count — more
+    // chains than executors cannot add parallelism, only task churn.
+    const int64_t nchains = std::min<int64_t>(
+        set.filters, static_cast<int64_t>(p->workers()) + 1);
+    const bool live = !src.isReplay();
+    sizeRowResults(src);
+
+    if (nchains == 1) {
+        // A single consumer chain cannot run in parallel with itself:
+        // its tasks would execute the same segments in the same
+        // delivery order the callback runs in, so chaining buys
+        // nothing and pays a task hand-off per block. Run the range
+        // inline in the delivery callback — identical segment order,
+        // zero scheduling.
+        uint64_t s = 0;
+        det = deliver(src, [&](const DetectionBlock &blk) {
+            if (live) {
+                std::copy(blk.results, blk.results + blk.rows(),
+                          rowResults_.begin() + blk.row0);
+            }
+            for (int64_t f = 0; f < set.filters; ++f)
+                s += set.segment(f, blk.row0, blk.row1);
         });
+        stats.macsSkipped += s;
+    } else {
+        // The consumer chains are runtime members reused across
+        // channel passes; a drained SerialExecutor is safely re-armed
+        // by its next run().
+        while (static_cast<int64_t>(chains_.size()) < nchains)
+            chains_.push_back(std::make_unique<SerialExecutor>(p));
+        std::vector<uint64_t> skipped(static_cast<size_t>(nchains), 0);
+        det = deliver(src, [&](const DetectionBlock &blk) {
+            if (live) {
+                // The block's result pointers die with the callback;
+                // copy into runtime-owned storage the chains can read
+                // asynchronously.
+                std::copy(blk.results, blk.results + blk.rows(),
+                          rowResults_.begin() + blk.row0);
+            }
+            for (int64_t c = 0; c < nchains; ++c) {
+                const int64_t f0 = c * set.filters / nchains;
+                const int64_t f1 = (c + 1) * set.filters / nchains;
+                chains_[static_cast<size_t>(c)]->run(
+                    [&set, &skipped, c, f0, f1, r0 = blk.row0,
+                     r1 = blk.row1] {
+                        uint64_t s = 0;
+                        for (int64_t f = f0; f < f1; ++f)
+                            s += set.segment(f, r0, r1);
+                        skipped[static_cast<size_t>(c)] += s;
+                    });
+            }
+        });
+        for (int64_t c = 0; c < nchains; ++c)
+            chains_[static_cast<size_t>(c)]->wait();
         for (const uint64_t s : skipped)
             stats.macsSkipped += s;
     }
@@ -178,10 +149,7 @@ ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
                       ReuseStats &stats)
 {
     DetectionResult det;
-    passPool_ =
-        overlappedFor(src.rowCount()) ? fe_.workerPool() : nullptr;
-
-    if (ThreadPool *p = passPool_) {
+    if (ThreadPool *p = passPool(src.rowCount())) {
         // Computed rows of each delivered block fan out to the pool
         // while later blocks hash; forwarded rows are copied after
         // the joins (owners are always computed rows, so forwarding
@@ -268,10 +236,7 @@ ReuseRuntime::runScan(const StreamSource &src, const ScanPass &pass,
                       ReuseStats &stats)
 {
     DetectionResult det;
-    passPool_ =
-        overlappedFor(src.rowCount()) ? fe_.workerPool() : nullptr;
-
-    if (ThreadPool *p = passPool_) {
+    if (ThreadPool *p = passPool(src.rowCount())) {
         // The scan consumes the hand-off on the driving thread — no
         // block is independent of the ones before it — then the
         // finish items fan out, one disjoint slice per task.
@@ -310,7 +275,6 @@ ConvLanes::run(DetectionFrontend &fe, int64_t items,
             lane.cache->dataVersions() != geom.dataVersions()) {
             lane.cache = std::make_unique<ShardedMCache>(
                 geom.sets(), geom.ways(), geom.dataVersions(), 1);
-            lane.cache->setConcurrent(false); // one thread per lane
         }
         lane.stats = ReuseStats{};
     }

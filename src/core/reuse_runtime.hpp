@@ -32,15 +32,15 @@
  * Three descriptor shapes cover every reuse pass in the system:
  *
  *  - FilterPassSet — `filters` filter passes over the stream's rows,
- *    `inFlight` at a time (the multi-version MCACHE data of Fig. 11).
- *    The first in-flight group consumes the stream: one SerialExecutor
- *    chain per filter receives every block in delivery order, so each
- *    filter sees its rows in stream order (the MCACHE
- *    owner-writes-before-hit-reads discipline) while distinct filters
- *    run in parallel. Remaining groups run whole-range on the pool
- *    after the stream drains. The conv forward over a persistent
- *    MCACHE is a FilterPassSet; every other conv pass runs whole
- *    channel passes on ConvLanes (below).
+ *    all in flight at once (the multi-version MCACHE data of Fig. 11,
+ *    one PassDataPlane slot per filter). Overlapped, every filter
+ *    consumes the stream: SerialExecutor chains receive every block
+ *    in delivery order, so each filter sees its rows in stream order
+ *    (the owner-writes-before-hit-reads discipline) while distinct
+ *    filters run in parallel. Serially, the filters run in ascending
+ *    order, each over rows [0, rows), after detection. The conv
+ *    forward over a persistent MCACHE is a FilterPassSet; every other
+ *    conv pass runs whole channel passes on ConvLanes (below).
  *
  *  - RowPass — row-granular result forwarding (§III-C3): stream-order
  *    owner bookkeeping on the driving thread decides per row whether
@@ -59,7 +59,7 @@
  *    outer products). The weight-gradient replays of FC and attention
  *    are ScanPasses, via weightGradReplay below.
  *
- * ## Ordering and locking contract (stated once, relied on by all)
+ * ## Ordering contract (stated once, relied on by all)
  *
  * One thread drives a runtime pass at a time (the engine's caller).
  * Blocks are delivered in ascending order on the driving thread; a
@@ -69,8 +69,8 @@
  * run concurrently on the pool. Conv-forward HIT forwarding runs on
  * the runtime's arena-backed PassDataPlane, where the per-filter
  * version-slot discipline makes unsynchronized access race-free (see
- * pass_arena.hpp); the MCACHE data plane remains available to
- * callers and is serialized by per-shard locks. Block result
+ * pass_arena.hpp); the MCACHE itself holds tags only and is probed
+ * by the detection pass alone. Block result
  * pointers die when the delivery callback returns — the runtime
  * copies them into rowResults() before any chain task can run.
  * Replay sources never touch the MCACHE at all. With overlap disabled
@@ -195,22 +195,14 @@ class ReuseRuntime
      *
      * `segment(f, r0, r1)` processes rows [r0, r1) of filter pass `f`
      * and returns the MACs it skipped. Within one filter, segments
-     * arrive in stream order and never overlap; the data slot a
-     * filter may use (MCACHE version / scratch-buffer index) is
-     * `f % inFlight`, constant across the filter's whole row range.
-     *
-     * `beforeGroup(f0, f1)` runs on the driving thread before every
-     * filter group that does *not* consume the live stream — the
-     * streamed first group is covered by the stream's initial cache
-     * clear.
+     * arrive in stream order and never overlap, so filter `f` may
+     * own data slot `f` for the whole pass.
      */
     struct FilterPassSet
     {
-        int64_t rows = 0;     ///< rows of the stream
-        int64_t filters = 0;  ///< total filter passes
-        int64_t inFlight = 1; ///< filters per group (data versions)
+        int64_t rows = 0;    ///< rows of the stream
+        int64_t filters = 0; ///< filter passes, all in flight at once
         std::function<uint64_t(int64_t f, int64_t r0, int64_t r1)> segment;
-        std::function<void(int64_t f0, int64_t f1)> beforeGroup;
     };
 
     /**
@@ -277,14 +269,6 @@ class ReuseRuntime
     bool overlapped() { return fe_.overlapEnabled(); }
 
     /**
-     * Worker pool of the pass currently in flight (null when that
-     * pass resolved to serial). Set at every run* entry from the
-     * pass's row count, so parallelChains calls follow the same
-     * overlap decision as the stream.
-     */
-    ThreadPool *pool() { return passPool_; }
-
-    /**
      * Per-row outcomes of the pass's live detection, filled before
      * any segment can observe them (engine-owned lifetime: valid
      * until the next run* call). Replay passes do not populate this —
@@ -308,10 +292,9 @@ class ReuseRuntime
 
     /**
      * The arena-backed per-pass data plane (see pass_arena.hpp): the
-     * lock-free replacement for the MCACHE data plane in conv-forward
-     * HIT forwarding. The engine configures it per layer call and
-     * invalidates it between filter groups; storage persists across
-     * passes.
+     * version-slot store conv-forward HIT forwarding runs on. The
+     * engine configures it per layer call and invalidates it between
+     * channel passes; storage persists across passes.
      */
     PassDataPlane &dataPlane() { return plane_; }
 
@@ -328,19 +311,9 @@ class ReuseRuntime
     DetectionResult runScan(const StreamSource &src, const ScanPass &pass,
                             ReuseStats &stats);
 
-    /**
-     * Fan `width` independent chain bodies out over the pool (serial
-     * loop without one): the non-streamed filter groups. fn(i) must
-     * write disjoint state.
-     */
-    void parallelChains(int64_t width,
-                        const std::function<void(int64_t)> &fn);
-
   private:
     DetectionFrontend &fe_;
     int bits_;
-    /// Pool of the pass in flight (run* entry resolves it per rows).
-    ThreadPool *passPool_ = nullptr;
     std::vector<McacheResult> rowResults_;
     PassArena arena_;   ///< runtime bookkeeping; reset at run* entry
     PassArena scratch_; ///< engine scratch; engine-owned reset cadence
@@ -348,6 +321,9 @@ class ReuseRuntime
     /// Reused stream-consumer chains (runFilterPasses); constructing
     /// a SerialExecutor per filter per channel pass was measurable.
     std::vector<std::unique_ptr<SerialExecutor>> chains_;
+
+    /** Pool a pass of `rows` runs on: null when it resolves serial. */
+    ThreadPool *passPool(int64_t rows);
 
     /** Stream the source's blocks to `cb` (overlapped delivery). */
     DetectionResult deliver(const StreamSource &src,
@@ -383,7 +359,7 @@ class ReuseRuntime
  */
 struct ConvLane
 {
-    /** MCACHE with the frontend's geometry (one shard, locks off). */
+    /** MCACHE with the frontend's geometry (one shard). */
     std::unique_ptr<ShardedMCache> cache;
     PassDataPlane plane;               ///< forward HIT forwarding
     Tensor rows;                       ///< (rows, k*k) patch extraction

@@ -143,7 +143,7 @@ class MercuryContext
     void setEpoch(uint64_t epoch);
     uint64_t epoch() const { return epoch_; }
 
-    /** Evict unpinned lines older than `min_epoch` from every
+    /** Evict lines older than `min_epoch` from every
      *  context-owned cache; returns lines evicted. */
     int64_t evictOlderThan(uint64_t min_epoch);
 

@@ -83,19 +83,8 @@ DetectionFrontend::detect(const Tensor &rows, int bits,
 {
     if (rows.rank() != 2)
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
-    ThreadPool *pool = poolFor();
-    const PipelineConfig &rp = resolvedPipeFor(rows.dim(0));
-    // Shard locks are only needed when filter tasks will touch the
-    // data plane while probes are in flight — i.e. overlapped mode
-    // (after Auto resolution for this pass size). The batch pass
-    // itself is lock-free by construction even on a pool (stage-1
-    // blocks write disjoint ranges, stage 2 runs one prober per
-    // shard), and without overlap the filter loops that follow run on
-    // this thread only. Quiescent here: one thread drives a
-    // frontend's passes.
-    cache_->setConcurrent(rp.overlap == OverlapMode::On && pool != nullptr);
-    DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits, rp,
-                               pool);
+    DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
+                               resolvedPipeFor(rows.dim(0)), poolFor());
     DetectionResult det = pipeline.run(rows, fill);
     if (capture)
         capture->capturePass(det, bits, cache_->dataVersions(),
@@ -110,14 +99,8 @@ DetectionFrontend::detectStream(const Tensor &rows, int bits,
 {
     if (rows.rank() != 2)
         panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
-    ThreadPool *pool = poolFor();
-    // Streaming consumers schedule filter work against the data plane
-    // while later probes run, so locks engage whenever a pool exists.
-    // Quiescent here: one thread drives a frontend's passes, and
-    // engines join their chains before starting the next one.
-    cache_->setConcurrent(pool != nullptr);
     DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
-                               resolvedPipeFor(rows.dim(0)), pool);
+                               resolvedPipeFor(rows.dim(0)), poolFor());
     DetectionResult det =
         pipeline.runStreaming(rows, on_block, std::move(fill));
     if (capture)

@@ -121,13 +121,17 @@ DetectionPipeline::run(const Tensor &rows, const RowFiller &fill) const
     // Stage 2: sharded MCACHE probing. Each shard consumes its own
     // rows in stream order — exactly the order the monolithic cache
     // would have seen them. The buckets are filled by one ascending
-    // walk, so per-shard order is stream order by construction.
-    const int shard_count = cache_.shardCount();
-    std::vector<std::vector<int64_t>> shard_rows(
-        static_cast<size_t>(shard_count));
+    // walk, so per-shard order is stream order by construction. A
+    // tenant quota couples the shards — every insert draws on one
+    // per-tenant budget — so a quota'd pass probes all rows as one
+    // ascending bucket on this thread: which inserts turn MNU once the
+    // quota binds must not depend on the shard count or on timing.
+    const int probers = cache_.tenantQuota() > 0 ? 1 : cache_.shardCount();
+    std::vector<std::vector<int64_t>> prober_rows(
+        static_cast<size_t>(probers));
     std::vector<McacheResult> results(static_cast<size_t>(n));
-    const auto probe_shard = [&](int64_t s) {
-        for (const int64_t i : shard_rows[static_cast<size_t>(s)]) {
+    const auto probe_bucket = [&](int64_t p) {
+        for (const int64_t i : prober_rows[static_cast<size_t>(p)]) {
             results[static_cast<size_t>(i)] = cache_.lookupOrInsertInSet(
                 set_of[static_cast<size_t>(i)],
                 sigs[static_cast<size_t>(i)]);
@@ -141,15 +145,17 @@ DetectionPipeline::run(const Tensor &rows, const RowFiller &fill) const
             project_block(b);
     }
     for (int64_t i = 0; i < n; ++i) {
-        shard_rows[static_cast<size_t>(
-                       cache_.shardOfSet(set_of[static_cast<size_t>(i)]))]
-            .push_back(i);
+        const int p =
+            probers == 1
+                ? 0
+                : cache_.shardOfSet(set_of[static_cast<size_t>(i)]);
+        prober_rows[static_cast<size_t>(p)].push_back(i);
     }
     if (pool_ && pool_->workers() > 0) {
-        pool_->parallelFor(shard_count, probe_shard);
+        pool_->parallelFor(probers, probe_bucket); // inline for 1
     } else {
-        for (int s = 0; s < shard_count; ++s)
-            probe_shard(s);
+        for (int p = 0; p < probers; ++p)
+            probe_bucket(p);
     }
 
     // Stage 3: stitch per-row buffers back in stream order.

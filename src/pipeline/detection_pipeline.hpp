@@ -16,12 +16,15 @@
  *  3. in-order stitching — per-row result buffers are merged back
  *     into the Hitmap and SignatureTable in vector order.
  *
- * Stages 1 and 2 run across a ThreadPool when one is supplied. The
- * decomposition is chosen so every configuration — any block size,
- * shard count, or thread count, including the threads = 1 degenerate
- * case — produces results bit-identical to the legacy detector:
- * projections accumulate in the same element order, and each MCACHE
- * set sees its signatures in the same stream order.
+ * Stages 1 and 2 run across a ThreadPool when one is supplied, except
+ * that a cache with a tenant quota is probed in stream order on the
+ * calling thread (the quota couples the shards). The decomposition
+ * is chosen so every configuration — any block size, shard count, or
+ * thread count, including the threads = 1 degenerate case — produces
+ * results bit-identical to the legacy detector: projections
+ * accumulate in the same element order, and each MCACHE set (and each
+ * tenant's quota budget) sees its signatures in the same stream
+ * order.
  *
  * Besides the batch run(), the pipeline is a *streaming producer*
  * (runStreaming): completed signature/hit blocks are handed to a
@@ -69,7 +72,7 @@ struct PipelineConfig
      * MCACHE shards (stage 2 parallelism; clamped to the set count).
      * 0 = auto: resolved at cache construction to the thread-scaled
      * band (resolvedShards) — shards beyond the number of
-     * concurrently probing threads only add lock/merge overhead.
+     * concurrently probing threads only add merge overhead.
      */
     int shards = 4;
 

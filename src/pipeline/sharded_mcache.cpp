@@ -25,7 +25,6 @@ ShardedMCache::ShardedMCache(int sets, int ways, int data_versions,
         shardBaseSet_.push_back(base);
         base += local_sets;
     }
-    shardLocks_ = std::make_unique<std::mutex[]>(shards_.size());
 }
 
 ShardedMCache::ShardedMCache(MCache &external)
@@ -35,7 +34,6 @@ ShardedMCache::ShardedMCache(MCache &external)
 {
     shards_.push_back(&external);
     shardBaseSet_.push_back(0);
-    shardLocks_ = std::make_unique<std::mutex[]>(1);
 }
 
 int
@@ -67,15 +65,8 @@ ShardedMCache::lookupOrInsertInSet(int set, const Signature &sig)
 {
     const int s = shardOfSet(set);
     const int base = shardBaseSet_[static_cast<size_t>(s)];
-    McacheResult r;
-    {
-        std::unique_lock<std::mutex> lock(
-            shardLocks_[static_cast<size_t>(s)], std::defer_lock);
-        if (concurrent_.load(std::memory_order_relaxed))
-            lock.lock();
-        r = shards_[static_cast<size_t>(s)]->lookupOrInsertInSet(
-            set - base, sig);
-    }
+    McacheResult r =
+        shards_[static_cast<size_t>(s)]->lookupOrInsertInSet(set - base, sig);
     if (r.entryId >= 0)
         r.entryId += static_cast<int64_t>(base) * ways_;
     return r;
@@ -89,108 +80,37 @@ ShardedMCache::refOf(int64_t entry_id) const
     const int s = shardOfSet(static_cast<int>(entry_id / ways_));
     const int base = shardBaseSet_[static_cast<size_t>(s)];
     return {shards_[static_cast<size_t>(s)],
-            entry_id - static_cast<int64_t>(base) * ways_, s};
-}
-
-bool
-ShardedMCache::dataValid(int64_t entry_id, int version) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    return ref.cache->dataValid(ref.localId, version);
-}
-
-float
-ShardedMCache::readData(int64_t entry_id, int version) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    return ref.cache->readData(ref.localId, version);
-}
-
-bool
-ShardedMCache::readDataIfValid(int64_t entry_id, int version,
-                               float &value) const
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    if (!ref.cache->dataValid(ref.localId, version))
-        return false;
-    value = ref.cache->readData(ref.localId, version);
-    return true;
-}
-
-void
-ShardedMCache::writeData(int64_t entry_id, int version, float value)
-{
-    const Ref ref = refOf(entry_id);
-    std::unique_lock<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)], std::defer_lock);
-    if (concurrent_.load(std::memory_order_relaxed))
-        lock.lock();
-    ref.cache->writeData(ref.localId, version, value);
-}
-
-void
-ShardedMCache::invalidateAllData()
-{
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->invalidateAllData();
-    }
+            entry_id - static_cast<int64_t>(base) * ways_};
 }
 
 void
 ShardedMCache::clear()
 {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->clear();
-    }
+    for (MCache *c : shards_)
+        c->clear();
 }
 
 uint64_t
 ShardedMCache::maxInsertBacklog() const
 {
     uint64_t mx = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        mx = std::max(mx, shards_[s]->maxInsertBacklog());
-    }
+    for (MCache *c : shards_)
+        mx = std::max(mx, c->maxInsertBacklog());
     return mx;
 }
 
 void
 ShardedMCache::resetInsertBacklog()
 {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->resetInsertBacklog();
-    }
-}
-
-std::unique_lock<std::mutex>
-ShardedMCache::passGuard() const
-{
-    return std::unique_lock<std::mutex>(passMutex_);
+    for (MCache *c : shards_)
+        c->resetInsertBacklog();
 }
 
 void
 ShardedMCache::setEpoch(uint64_t epoch)
 {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->setEpoch(epoch);
-    }
+    for (MCache *c : shards_)
+        c->setEpoch(epoch);
 }
 
 uint64_t
@@ -202,10 +122,8 @@ ShardedMCache::epoch() const
 void
 ShardedMCache::setInsertTenant(int tenant)
 {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->setInsertTenant(tenant);
-    }
+    for (MCache *c : shards_)
+        c->setInsertTenant(tenant);
 }
 
 ShardedMCache::TenantQuotaGate::TenantQuotaGate(int64_t quota,
@@ -275,10 +193,8 @@ ShardedMCache::setTenantQuota(int64_t entries, int max_tenants)
         quotaGate_ =
             std::make_unique<TenantQuotaGate>(quotaEntries_, max_tenants);
     }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        shards_[s]->setQuotaGate(quotaGate_.get());
-    }
+    for (MCache *c : shards_)
+        c->setQuotaGate(quotaGate_.get());
     if (quotaGate_)
         recountTenantReservations();
 }
@@ -295,13 +211,11 @@ ShardedMCache::recountTenantReservations()
     if (!quotaGate_)
         return;
     quotaGate_->reset();
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        MCache &shard = *shards_[s];
-        for (int64_t e = 0; e < shard.entries(); ++e) {
-            if (!shard.tagValid(e))
+    for (const MCache *shard : shards_) {
+        for (int64_t e = 0; e < shard->entries(); ++e) {
+            if (!shard->tagValid(e))
                 continue;
-            const int tenant = shard.entryTenant(e);
+            const int tenant = shard->entryTenant(e);
             if (tenant >= 0 && !quotaGate_->tryReserve(tenant))
                 panic("snapshot contents exceed the tenant quota for "
                       "tenant ",
@@ -314,10 +228,8 @@ int64_t
 ShardedMCache::evictOlderThan(uint64_t min_epoch)
 {
     int64_t evicted = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        evicted += shards_[s]->evictOlderThan(min_epoch);
-    }
+    for (MCache *c : shards_)
+        evicted += c->evictOlderThan(min_epoch);
     return evicted;
 }
 
@@ -325,37 +237,15 @@ int64_t
 ShardedMCache::evictTenant(int tenant)
 {
     int64_t evicted = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        evicted += shards_[s]->evictTenant(tenant);
-    }
+    for (MCache *c : shards_)
+        evicted += c->evictTenant(tenant);
     return evicted;
-}
-
-void
-ShardedMCache::pin(int64_t entry_id)
-{
-    const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
-    ref.cache->pin(ref.localId);
-}
-
-void
-ShardedMCache::unpin(int64_t entry_id)
-{
-    const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
-    ref.cache->unpin(ref.localId);
 }
 
 bool
 ShardedMCache::tagValid(int64_t entry_id) const
 {
     const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
     return ref.cache->tagValid(ref.localId);
 }
 
@@ -363,8 +253,6 @@ uint64_t
 ShardedMCache::entryEpoch(int64_t entry_id) const
 {
     const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
     return ref.cache->entryEpoch(ref.localId);
 }
 
@@ -372,8 +260,6 @@ int
 ShardedMCache::entryTenant(int64_t entry_id) const
 {
     const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
     return ref.cache->entryTenant(ref.localId);
 }
 
@@ -381,8 +267,6 @@ Signature
 ShardedMCache::tagAt(int64_t entry_id) const
 {
     const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
     return ref.cache->tagOf(ref.localId);
 }
 
@@ -391,8 +275,6 @@ ShardedMCache::restoreLine(int64_t entry_id, const Signature &sig,
                            uint64_t epoch, int tenant)
 {
     const Ref ref = refOf(entry_id);
-    std::lock_guard<std::mutex> lock(
-        shardLocks_[static_cast<size_t>(ref.shard)]);
     ref.cache->restoreLine(ref.localId, sig, epoch, tenant);
 }
 
@@ -400,9 +282,8 @@ HitMix
 ShardedMCache::lookupMix() const
 {
     HitMix mix;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        std::lock_guard<std::mutex> lock(shardLocks_[s]);
-        const MCache::Counters &c = shards_[s]->counters();
+    for (const MCache *shard : shards_) {
+        const MCache::Counters &c = shard->counters();
         mix.hit += static_cast<int64_t>(c.hits);
         mix.mau += static_cast<int64_t>(c.mau);
         mix.mnu += static_cast<int64_t>(c.mnu);

@@ -12,36 +12,25 @@
  * bit-identical to the single-cache single-thread path. Per-shard
  * statistics merge into one HitMix.
  *
- * Thread-safety contract (the overlapped-detection data plane,
- * ROADMAP "async multi-filter MCACHE semantics"):
+ * Thread-safety contract: the cache has no locks. Three access
+ * patterns exist and none overlaps another on one shard:
  *
- *  - In concurrent mode (the default; see setConcurrent), every tag
- *    probe (lookupOrInsert / lookupOrInsertInSet) and every
- *    data-plane access (dataValid / readData / readDataIfValid /
- *    writeData) takes the owning shard's lock, so HIT forwarding may
- *    run on worker threads *while later filters — or the streaming
- *    detection pass itself — are still inserting tags* into the same
- *    shard. Distinct shards never contend. A single-threaded driver
- *    (no worker pool anywhere in reach of the cache) may switch the
- *    locks off so the legacy hot paths stay lock-free — the
- *    DetectionFrontend does this automatically per pass.
- *  - Bit-identical outcomes still require ORDER, which locks alone do
- *    not provide: each shard must see its probes in stream order, and
- *    a HIT's data read must happen after its MAU owner's write. The
- *    detection pipeline delivers blocks in order, and the engines
- *    keep each filter's rows in a SerialExecutor chain, to provide
- *    exactly that order (see docs/ARCHITECTURE.md).
- *  - clear() / invalidateAllData() / lookupMix() / maxInsertBacklog()
- *    lock shard by shard; callers must be quiescent (no in-flight
- *    probes or filter passes) for the aggregate to be meaningful.
- *  - shard() hands out a raw MCache reference and is NOT locked: it
- *    is for tests and statistics on a quiescent cache only.
+ *  - the batch pass (DetectionPipeline::run) runs one prober per
+ *    shard, each presenting its shard's signatures in stream order;
+ *  - the streaming pass (runStreaming) probes every row in stream
+ *    order on the calling thread;
+ *  - lifecycle and statistics calls (clear, epochs, eviction, quota,
+ *    snapshot restore, lookupMix, shard()) run between passes.
+ *
+ * When a tenant quota is set, inserts of different shards compete for
+ * one per-tenant budget, so a quota'd pass probes every row in stream
+ * order on one thread. The gate's counters stay atomic, so a caller
+ * that does probe distinct shards concurrently still never pushes a
+ * tenant past its quota.
  *
  * The class can also wrap an externally owned MCache as its single
  * shard, which is how the legacy engine constructors keep sharing a
- * caller-provided cache through the new pipeline front-end. The
- * wrapped cache must then only be accessed through this wrapper while
- * concurrent passes are in flight.
+ * caller-provided cache through the new pipeline front-end.
  */
 
 #ifndef MERCURY_PIPELINE_SHARDED_MCACHE_HPP
@@ -50,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/mcache.hpp"
@@ -94,20 +82,13 @@ class ShardedMCache
     McacheResult lookupOrInsert(const Signature &sig);
 
     /**
-     * Lookup with a precomputed global set index. Locked per shard,
-     * so probes may run concurrently with data-plane traffic; for
-     * bit-identical results each shard must still be presented its
-     * signatures in stream order (one prober per shard, or one global
-     * in-order prober).
+     * Lookup with a precomputed global set index. For bit-identical
+     * results each shard must be presented its signatures in stream
+     * order (one prober per shard, or one global in-order prober).
      */
     McacheResult lookupOrInsertInSet(int set, const Signature &sig);
 
-    /**
-     * Software-prefetch a global set's lines ahead of a probe (see
-     * MCache::prefetchSet). Lock-free by design — a prefetch of a
-     * line another thread is writing is harmless, the probe itself
-     * still goes through the shard lock.
-     */
+    /** Software-prefetch a global set's lines (MCache::prefetchSet). */
     void prefetchSet(int set) const
     {
         const int s = shardOfSet(set);
@@ -115,40 +96,8 @@ class ShardedMCache
             set - shardBaseSet_[static_cast<size_t>(s)]);
     }
 
-    /**
-     * Entry-id data plane, global ids as in the monolithic cache.
-     * Each call locks the entry's shard, so concurrent HIT forwarding
-     * and MAU deposits from filter tasks are safe while other threads
-     * probe the same shard. Note dataValid-then-readData is two lock
-     * acquisitions; prefer readDataIfValid in concurrent paths.
-     */
-    bool dataValid(int64_t entry_id, int version) const;
-    float readData(int64_t entry_id, int version) const;
-    void writeData(int64_t entry_id, int version, float value);
-
-    /**
-     * Atomic dataValid + readData under one shard lock: true and
-     * fills `value` when the version is valid. This is the HIT
-     * forwarding path of the overlapped engines.
-     */
-    bool readDataIfValid(int64_t entry_id, int version,
-                         float &value) const;
-
-    /** Clear every VD bit in every shard (the bitline). Quiescent only. */
-    void invalidateAllData();
-
-    /** Clear tags and data in every shard. Quiescent only. */
+    /** Clear the tags of every shard. Between passes only. */
     void clear();
-
-    /**
-     * Toggle the per-shard locking of probes and data-plane accesses.
-     * On (the construction default) whenever worker threads may touch
-     * the cache; a purely single-threaded driver may switch it off to
-     * keep the hot paths lock-free. Must only be toggled while the
-     * cache is quiescent (no pass or filter tasks in flight).
-     */
-    void setConcurrent(bool concurrent) { concurrent_ = concurrent; }
-    bool concurrent() const { return concurrent_; }
 
     /** Largest per-set insert backlog across all shards (§V). */
     uint64_t maxInsertBacklog() const;
@@ -157,16 +106,6 @@ class ShardedMCache
     void resetInsertBacklog();
 
     // ---- Serving-layer lifecycle (see docs/ARCHITECTURE.md) ---------
-
-    /**
-     * Pass guard for shared serving: a session that shares this cache
-     * with other sessions holds the returned lock for the duration of
-     * its cache-touching job, serializing whole passes (and eviction /
-     * epoch maintenance) across sessions. The per-shard locks above
-     * still cover the intra-pass worker threads of whichever session
-     * holds the guard. Single-session users never need it.
-     */
-    std::unique_lock<std::mutex> passGuard() const;
 
     /** Stamp subsequent inserts/HIT-refreshes with `epoch` (all shards). */
     void setEpoch(uint64_t epoch);
@@ -180,11 +119,18 @@ class ShardedMCache
      * valid lines, further inserts for it become MNU until eviction
      * frees lines. Reservation is one compare-exchange that increments
      * only below the quota, so the count never exceeds the quota even
-     * under concurrent interleaved inserts. `entries` <= 0 disables the gate. Tenants are ids in
-     * [0, max_tenants); id -1 (unowned) is never gated.
+     * under concurrent interleaved inserts. `entries` <= 0 disables
+     * the gate. Tenants are ids in [0, max_tenants); id -1 (unowned)
+     * is never gated.
      */
     void setTenantQuota(int64_t entries, int max_tenants = 64);
     int64_t tenantQuota() const { return quotaEntries_; }
+
+    /** Tenant-id bound of the quota gate (0 when no quota is set). */
+    int quotaMaxTenants() const
+    {
+        return quotaGate_ ? quotaGate_->maxTenants() : 0;
+    }
 
     /** Lines currently reserved for `tenant` by the quota gate. */
     int64_t tenantReserved(int tenant) const;
@@ -192,19 +138,15 @@ class ShardedMCache
     /**
      * Recompute the quota-gate reservations from the actual cache
      * contents (after a snapshot restore, which bypasses the gate).
-     * Quiescent only.
+     * Between passes only.
      */
     void recountTenantReservations();
 
-    /** Evict unpinned lines last touched before `min_epoch` (all shards). */
+    /** Evict lines last touched before `min_epoch` (all shards). */
     int64_t evictOlderThan(uint64_t min_epoch);
 
-    /** Evict every unpinned line stamped with `tenant` (all shards). */
+    /** Evict every line stamped with `tenant` (all shards). */
     int64_t evictTenant(int tenant);
-
-    /** Pin/unpin a line against eviction (global entry id). */
-    void pin(int64_t entry_id);
-    void unpin(int64_t entry_id);
 
     /** Lifecycle metadata of a line (global entry id). */
     bool tagValid(int64_t entry_id) const;
@@ -214,14 +156,14 @@ class ShardedMCache
     /** Copy of a valid line's tag (snapshot serialization). */
     Signature tagAt(int64_t entry_id) const;
 
-    /** Snapshot restore of one line (global entry id; quiescent only). */
+    /** Snapshot restore of one line (global entry id). */
     void restoreLine(int64_t entry_id, const Signature &sig,
                      uint64_t epoch, int tenant);
 
     /** Per-shard lifetime stats merged into one HitMix. */
     HitMix lookupMix() const;
 
-    /** Direct shard access (tests, stats; unlocked, quiescent only). */
+    /** Direct shard access (tests, stats; between passes only). */
     MCache &shard(int s);
     const MCache &shard(int s) const;
 
@@ -251,17 +193,6 @@ class ShardedMCache
     std::vector<std::unique_ptr<MCache>> owned_;
     std::vector<MCache *> shards_;
     std::vector<int> shardBaseSet_; ///< first global set of each shard
-    /// One lock per shard guarding its tags, data, and stats. Heap
-    /// array because std::mutex is immovable. Mutable: const readers
-    /// (dataValid, readDataIfValid) lock too.
-    mutable std::unique_ptr<std::mutex[]> shardLocks_;
-    /// Locks engaged (worker threads may touch the cache). Atomic so
-    /// workers may read it while the driver thread owns toggling;
-    /// toggles only happen on a quiescent cache.
-    std::atomic<bool> concurrent_{true};
-    /// Serializes whole passes from concurrent sessions (passGuard).
-    /// Mutable: read-mostly sessions (stats sweeps) guard too.
-    mutable std::mutex passMutex_;
     std::unique_ptr<TenantQuotaGate> quotaGate_;
     int64_t quotaEntries_ = 0;
     int sets_;
@@ -277,7 +208,6 @@ class ShardedMCache
     {
         MCache *cache;
         int64_t localId;
-        int shard;
     };
 
     Ref refOf(int64_t entry_id) const;

@@ -1,5 +1,6 @@
 #include "serve/snapshot.hpp"
 
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -153,8 +154,34 @@ Snapshot::restoreCache(uint64_t key, ShardedMCache &cache,
                 std::to_string(cache.ways());
         return false;
     }
-    // Geometry matches and entry ids were validated at parse time, so
-    // from here the restore cannot fail half-way.
+    // restoreLine bypasses the quota gate, so check every tenant
+    // against the target's gate now: an id the gate cannot hold, or a
+    // tenant over its quota, is rejected before the target changes.
+    if (cache.tenantQuota() > 0) {
+        std::vector<int64_t> held(
+            static_cast<size_t>(cache.quotaMaxTenants()), 0);
+        for (const auto &line : sec->lines) {
+            if (line.tenant < 0)
+                continue; // unowned lines are never gated
+            if (line.tenant >= cache.quotaMaxTenants()) {
+                error = "snapshot line tenant " +
+                        std::to_string(line.tenant) +
+                        " is out of the target's quota-gate range 0.." +
+                        std::to_string(cache.quotaMaxTenants() - 1);
+                return false;
+            }
+            if (++held[static_cast<size_t>(line.tenant)] >
+                cache.tenantQuota()) {
+                error = "snapshot holds more than the target's quota of " +
+                        std::to_string(cache.tenantQuota()) +
+                        " lines for tenant " +
+                        std::to_string(line.tenant);
+                return false;
+            }
+        }
+    }
+    // Geometry, tenants and entry ids are validated, so from here the
+    // restore cannot fail half-way.
     cache.clear();
     for (const auto &line : sec->lines)
         cache.restoreLine(line.entryId, line.sig, line.epoch,
@@ -330,6 +357,8 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             if (!r.u64(line.epoch, "line epoch") ||
                 !r.i32(tenant, "line tenant"))
                 return false;
+            if (tenant < -1)
+                return r.fail("line tenant below -1");
             line.tenant = tenant;
             sec.lines.push_back(std::move(line));
         }
@@ -352,6 +381,8 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
         sec.entries = static_cast<int64_t>(entries);
         if (sec.dataVersions <= 0 || sec.entries <= 0)
             return r.fail("non-positive record organization");
+        if (entries > static_cast<uint64_t>(INT32_MAX) + 1)
+            return r.fail("record entries beyond 32-bit entry ids");
         for (uint32_t p = 0; p < pass_count; ++p) {
             SignatureRecord::Pass pass;
             uint64_t rows = 0, n = 0;
@@ -366,6 +397,8 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             if (pass.bits <= 0 ||
                 pass.sigWordsPerRow != Signature::wordsFor(pass.bits))
                 return r.fail("inconsistent pass signature layout");
+            if (rows > r.size - r.pos)
+                return r.fail("pass rows exceed the payload");
             if (!r.u64(n, "pass sig-word count"))
                 return false;
             if (n != rows * words_per_row)
@@ -389,9 +422,17 @@ Snapshot::parse(const uint8_t *data, size_t size, Snapshot &out,
             pass.outcomes.resize(static_cast<size_t>(n));
             if (!r.raw(pass.outcomes.data(), n, "pass outcomes"))
                 return false;
-            for (uint8_t o : pass.outcomes)
+            for (uint64_t i = 0; i < rows; ++i) {
+                const uint8_t o = pass.outcomes[static_cast<size_t>(i)];
                 if (o > static_cast<uint8_t>(McacheOutcome::Mnu))
                     return r.fail("pass outcome out of range");
+                // HIT/MAU rows index per-entry tables on replay.
+                const int64_t id = pass.entryIds[static_cast<size_t>(i)];
+                const int64_t lo =
+                    o == static_cast<uint8_t>(McacheOutcome::Mnu) ? -1 : 0;
+                if (id < lo || id >= sec.entries)
+                    return r.fail("pass entry id out of range");
+            }
             if (!r.i64(pass.mix.vectors, "pass mix vectors") ||
                 !r.i64(pass.mix.hit, "pass mix hit") ||
                 !r.i64(pass.mix.mau, "pass mix mau") ||

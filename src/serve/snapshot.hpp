@@ -38,8 +38,9 @@
  * checksum, array sanity) into a temporary and only then moves the
  * result out — a truncated, corrupted, or version-bumped snapshot is
  * rejected with a descriptive error and the output is untouched.
- * restoreCache() likewise validates geometry before clearing the
- * target, so a failed restore never leaves a half-restored cache.
+ * restoreCache() likewise validates geometry and tenants against the
+ * target before clearing it, so a failed restore never leaves a
+ * half-restored cache.
  */
 
 #ifndef MERCURY_SERVE_SNAPSHOT_HPP
@@ -107,12 +108,13 @@ class Snapshot
     }
 
     /**
-     * Restore a keyed section into `cache`: validates the key exists
-     * and the geometry (sets x ways) matches, then clears the target,
-     * installs every line, and recounts tenant-quota reservations.
-     * Shard counts may differ (global entry ids). Returns false with
-     * `error` set — and the target untouched — when the key is
-     * missing or the geometry differs.
+     * Restore a keyed section into `cache`: validates the key exists,
+     * the geometry (sets x ways) matches and, on a quota'd target,
+     * that every line's tenant fits the quota gate's id range and no
+     * tenant exceeds its quota; then clears the target, installs every
+     * line, and recounts tenant-quota reservations. Shard counts may
+     * differ (global entry ids). Returns false with `error` set — and
+     * the target untouched — when any check fails.
      */
     bool restoreCache(uint64_t key, ShardedMCache &cache,
                       std::string &error) const;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for MCACHE semantics: the Fig. 9 insert flow, independent
- * VT/VD validation, the no-replacement policy, multi-version data,
- * the VD bitline, and the per-set insert queues.
+ * Tests for MCACHE semantics: the Fig. 9 insert flow, the
+ * no-replacement policy, the per-set insert queues, and the serving
+ * lifecycle (epochs, tenants, eviction, restore, quota gates).
  */
 
 #include <gtest/gtest.h>
@@ -68,66 +68,12 @@ TEST(MCache, FullSetYieldsMnuNoReplacement)
     EXPECT_EQ(c.lookupOrInsert(sigOf(3)).outcome, McacheOutcome::Mnu);
 }
 
-TEST(MCache, TagValidBeforeData)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    // VT set, all VD unset.
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    EXPECT_FALSE(c.dataValid(r.entryId, 1));
-}
-
-TEST(MCache, WriteThenReadData)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    c.writeData(r.entryId, 1, 3.5f);
-    EXPECT_TRUE(c.dataValid(r.entryId, 1));
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    EXPECT_FLOAT_EQ(c.readData(r.entryId, 1), 3.5f);
-}
-
-TEST(MCache, ReadInvalidDataDies)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(9));
-    EXPECT_DEATH(c.readData(r.entryId, 0), "invalid data");
-}
-
-TEST(MCache, MultiVersionDataIndependent)
-{
-    MCache c(4, 2, 4);
-    const auto r = c.lookupOrInsert(sigOf(5));
-    for (int v = 0; v < 4; ++v)
-        c.writeData(r.entryId, v, static_cast<float>(v) * 1.5f);
-    for (int v = 0; v < 4; ++v)
-        EXPECT_FLOAT_EQ(c.readData(r.entryId, v),
-                        static_cast<float>(v) * 1.5f);
-}
-
-TEST(MCache, BitlineInvalidatesAllDataKeepsTags)
-{
-    MCache c(4, 2, 2);
-    const auto r = c.lookupOrInsert(sigOf(5));
-    c.writeData(r.entryId, 0, 1.0f);
-    c.invalidateAllData();
-    EXPECT_FALSE(c.dataValid(r.entryId, 0));
-    // Tag survives: next lookup is a HIT.
-    EXPECT_EQ(c.lookupOrInsert(sigOf(5)).outcome, McacheOutcome::Hit);
-}
-
 TEST(MCache, ClearDropsTags)
 {
     MCache c(4, 2, 2);
     c.lookupOrInsert(sigOf(5));
     c.clear();
     EXPECT_EQ(c.lookupOrInsert(sigOf(5)).outcome, McacheOutcome::Mau);
-}
-
-TEST(MCache, WriteWithoutTagDies)
-{
-    MCache c(4, 2, 2);
-    EXPECT_DEATH(c.writeData(0, 0, 1.0f), "no valid tag");
 }
 
 TEST(MCache, SetOccupancyTracksInserts)
@@ -289,48 +235,10 @@ TEST(McacheLifecycle, EvictTenantRemovesOnlyThatTenant)
     EXPECT_EQ(c.tenantEntries(1), 1);
 }
 
-TEST(McacheLifecycle, PinnedLineSurvivesEviction)
-{
-    // The in-flight-HIT contract: a pinned line is never evicted, so
-    // an entry id handed out by a probe stays valid across any
-    // eviction sweep that runs while the client holds the pin.
-    MCache c(16, 8, 1);
-    c.setEpoch(1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    c.pin(a.entryId);
-    c.setEpoch(10);
-    EXPECT_EQ(c.evictOlderThan(10), 0);
-    EXPECT_TRUE(c.tagValid(a.entryId));
-    EXPECT_EQ(c.pinCount(a.entryId), 1u);
-    c.unpin(a.entryId);
-    EXPECT_EQ(c.evictOlderThan(10), 1); // unpinned: now evictable
-}
-
-TEST(McacheLifecycle, PinIsCountedNotBoolean)
-{
-    MCache c(16, 8, 1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    c.pin(a.entryId);
-    c.pin(a.entryId);
-    c.unpin(a.entryId);
-    c.setEpoch(10);
-    EXPECT_EQ(c.evictOlderThan(10), 0); // one pin still held
-    c.unpin(a.entryId);
-    EXPECT_EQ(c.evictOlderThan(10), 1);
-}
-
-TEST(McacheLifecycle, UnpinWithoutPinPanics)
-{
-    MCache c(16, 8, 1);
-    const auto a = c.lookupOrInsert(sigOf(1));
-    EXPECT_DEATH(c.unpin(a.entryId), "unpin");
-}
-
 TEST(McacheLifecycle, RestoreLineReinstallsTagAndMetadata)
 {
     MCache c(16, 4, 2);
     const auto orig = c.lookupOrInsert(sigOf(0xF00D));
-    c.writeData(orig.entryId, 0, 1.5f);
     const Signature tag = c.tagOf(orig.entryId);
     c.clear();
     c.restoreLine(orig.entryId, tag, 42, 5);
@@ -339,8 +247,6 @@ TEST(McacheLifecycle, RestoreLineReinstallsTagAndMetadata)
     EXPECT_EQ(again.outcome, McacheOutcome::Hit);
     EXPECT_EQ(again.entryId, orig.entryId);
     EXPECT_EQ(c.entryTenant(orig.entryId), 5);
-    // Data versions do not survive a restore.
-    EXPECT_FALSE(c.dataValid(orig.entryId, 0));
 }
 
 TEST(McacheLifecycle, RestoreIntoOccupiedLinePanics)
@@ -401,27 +307,31 @@ TEST(McacheLifecycle, QuotaGateTurnsInsertsIntoMnu)
 
 TEST(ShardedLifecycle, QuotaNeverExceededUnderConcurrentInserts)
 {
-    // Hammer one quota'd shared cache from several threads inserting
-    // for the same tenant (the insert-tenant stamp is cache-global,
-    // so concurrency happens within one tenant — exactly how the
-    // server's intra-pass worker threads hit the gate). The
-    // compare-exchange gate must keep the tenant at or below quota
-    // at every instant, regardless of interleaving.
+    // One prober per shard — the batch pass's access pattern — all
+    // inserting for the same tenant (the insert-tenant stamp is
+    // cache-global), so the shards race only on the shared quota
+    // gate. The compare-exchange gate must keep the tenant at or
+    // below quota at every instant, regardless of interleaving.
     constexpr int kTenant = 2;
     constexpr int64_t kQuota = 24;
+    constexpr int kShards = 4;
     ShardedMCache cache(/*sets=*/256, /*ways=*/8, /*data_versions=*/1,
-                        /*shards=*/4);
+                        kShards);
     cache.setTenantQuota(kQuota, /*max_tenants=*/4);
     cache.setInsertTenant(kTenant);
 
     std::vector<std::thread> threads;
-    for (int w = 0; w < 4; ++w) {
+    for (int w = 0; w < kShards; ++w) {
         threads.emplace_back([&cache, w, kTenant, kQuota] {
-            for (int i = 0; i < 400; ++i) {
-                const uint64_t pattern =
-                    (static_cast<uint64_t>(w) << 32) ^
-                    (static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull);
-                (void)cache.lookupOrInsert(sigOf(pattern, 44));
+            int probes = 0;
+            for (uint64_t i = 0; probes < 400; ++i) {
+                const Signature sig =
+                    sigOf(i * 0x9E3779B97F4A7C15ull, 44);
+                const int set = cache.setIndexOf(sig);
+                if (cache.shardOfSet(set) != w)
+                    continue; // another shard's prober owns it
+                (void)cache.lookupOrInsertInSet(set, sig);
+                ++probes;
                 EXPECT_LE(cache.tenantReserved(kTenant), kQuota);
             }
         });

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "core/attention_engine.hpp"
@@ -92,6 +93,42 @@ TEST(Pipeline, BitIdenticalToLegacyAcrossAllKnobs)
     }
 }
 
+TEST(Pipeline, QuotaBoundPassProbesInStreamOrder)
+{
+    // A tenant quota that binds partway through a pass: every insert
+    // draws on one per-tenant budget across all shards, so which
+    // inserts turn MNU depends on the global probe order. Shard count
+    // and threads stay throughput knobs only if the pass keeps that
+    // order, on every run.
+    Rng rng(31);
+    Tensor rows({4096, 16});
+    rows.fillNormal(rng);
+    const auto quotaDetect = [&rows](int shards, int threads) {
+        PipelineConfig pipe;
+        pipe.shards = shards;
+        pipe.threads = threads;
+        DetectionFrontend fe(256, 8, 1, kMaxBits, kSeed, pipe);
+        fe.cache().setTenantQuota(1500, /*max_tenants=*/4);
+        fe.cache().setInsertTenant(1);
+        DetectionResult det = fe.detect(rows, 24);
+        EXPECT_EQ(fe.cache().tenantReserved(1), 1500);
+        return det;
+    };
+    const DetectionResult ref = quotaDetect(1, 1);
+    ASSERT_EQ(ref.mix().mau, 1500);
+    ASSERT_GT(ref.mix().mnu, 0);
+    for (int rep = 0; rep < 20; ++rep) {
+        for (int threads : {1, 4}) {
+            for (int shards : {1, 4}) {
+                SCOPED_TRACE("rep=" + std::to_string(rep) +
+                             " threads=" + std::to_string(threads) +
+                             " shards=" + std::to_string(shards));
+                expectIdenticalResults(quotaDetect(shards, threads), ref);
+            }
+        }
+    }
+}
+
 TEST(Pipeline, DeterministicReruns)
 {
     Tensor rows = prototypeVectors(300, 16, 40, 0.02f, 5, 1.5);
@@ -155,24 +192,37 @@ TEST(ShardedMCache, MatchesMonolithicCache)
 
 TEST(ShardedMCache, DataPlaneUsesGlobalEntryIds)
 {
+    // Entry ids are global (set * ways + way, as in one monolithic
+    // cache), and every per-line accessor addresses lines by them.
     ShardedMCache sharded(16, 2, 3, 4);
+    MCache mono(16, 2, 3);
     RPQEngine rpq(8, kMaxBits, 4);
     Rng rng(8);
     Tensor rows({40, 8});
     rows.fillNormal(rng);
     for (int64_t i = 0; i < rows.dim(0); ++i) {
+        const int tenant = static_cast<int>(i % 3);
+        sharded.setInsertTenant(tenant);
+        mono.setInsertTenant(tenant);
         const Signature sig = rpq.signatureOfRow(rows, i, 24);
         const McacheResult r = sharded.lookupOrInsert(sig);
+        EXPECT_EQ(r.entryId, mono.lookupOrInsert(sig).entryId);
         if (r.outcome != McacheOutcome::Mau)
             continue;
-        EXPECT_FALSE(sharded.dataValid(r.entryId, 1));
-        sharded.writeData(r.entryId, 1, static_cast<float>(i));
-        EXPECT_TRUE(sharded.dataValid(r.entryId, 1));
-        EXPECT_EQ(sharded.readData(r.entryId, 1), static_cast<float>(i));
+        EXPECT_TRUE(sharded.tagValid(r.entryId));
+        EXPECT_TRUE(sharded.tagAt(r.entryId) == sig);
+        EXPECT_EQ(sharded.entryTenant(r.entryId), tenant);
     }
-    sharded.invalidateAllData();
+    for (int64_t id = 0; id < sharded.entries(); ++id) {
+        ASSERT_EQ(sharded.tagValid(id), mono.tagValid(id));
+        if (mono.tagValid(id)) {
+            EXPECT_TRUE(sharded.tagAt(id) == mono.tagOf(id));
+            EXPECT_EQ(sharded.entryTenant(id), mono.entryTenant(id));
+        }
+    }
+    sharded.clear();
     for (int64_t id = 0; id < sharded.entries(); ++id)
-        EXPECT_FALSE(sharded.dataValid(id, 1));
+        EXPECT_FALSE(sharded.tagValid(id));
 }
 
 TEST(ShardedMCache, ShardCountClampedToSets)
@@ -180,41 +230,6 @@ TEST(ShardedMCache, ShardCountClampedToSets)
     ShardedMCache sharded(4, 2, 1, 100);
     EXPECT_EQ(sharded.shardCount(), 4);
     EXPECT_EQ(sharded.entries(), 8);
-}
-
-TEST(ShardedMCache, FrontendEngagesLocksOnlyForOverlappedPasses)
-{
-    Tensor rows = prototypeVectors(64, 8, 8, 0.01f, 7);
-    // Shard locks engage only when filter tasks can race the data
-    // plane — i.e. streaming/overlapped passes on a pool. Inline and
-    // batch-on-a-pool passes stay lock-free (stage 2 runs one prober
-    // per shard, and the filter loops that follow are single-
-    // threaded). Results are identical either way (asserted across
-    // the knob grid elsewhere).
-    PipelineConfig inline_pipe;
-    inline_pipe.threads = 1;
-    DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                inline_pipe);
-    EXPECT_TRUE(inline_fe.cache().concurrent()); // construction default
-    inline_fe.detect(rows, kBits);
-    EXPECT_FALSE(inline_fe.cache().concurrent());
-
-    PipelineConfig pooled_pipe;
-    pooled_pipe.threads = 3;
-    DetectionFrontend pooled_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                pooled_pipe);
-    pooled_fe.detect(rows, kBits);
-    EXPECT_FALSE(pooled_fe.cache().concurrent()); // batch: lock-free
-
-    pooled_fe.detectStream(rows, kBits, {});
-    EXPECT_TRUE(pooled_fe.cache().concurrent()); // streaming: locked
-
-    PipelineConfig overlap_pipe = pooled_pipe;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                 overlap_pipe);
-    overlap_fe.detect(rows, kBits);
-    EXPECT_TRUE(overlap_fe.cache().concurrent()); // overlap: locked
 }
 
 TEST(Pipeline, ConvEngineIdenticalThroughSharedThreadedFrontend)
@@ -568,63 +583,6 @@ TEST(Overlap, KnobLiftsFromAcceleratorConfig)
     DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
                          PipelineConfig::fromConfig(cfg));
     EXPECT_TRUE(fe.overlapEnabled());
-}
-
-/**
- * ShardedMCache HIT-forwarding stress: filter tasks read and write
- * the data plane of every shard while a prober keeps inserting tags
- * into the same shards. Writers own disjoint (entry, version) slots;
- * readers poll until a slot turns valid and must then see exactly the
- * writer's value. Run under TSan in CI, this checks the per-shard
- * locking contract.
- */
-TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
-{
-    constexpr int kVersions = 4;
-    ShardedMCache cache(32, 4, kVersions, 8);
-    RPQEngine rpq(16, kMaxBits, 5);
-    Rng rng(41);
-    Tensor rows({512, 16});
-    rows.fillNormal(rng);
-
-    // Phase 1 (single-threaded): insert some tags so entry ids exist.
-    std::vector<int64_t> entries;
-    for (int64_t i = 0; i < 128; ++i) {
-        const McacheResult r =
-            cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
-        if (r.outcome == McacheOutcome::Mau)
-            entries.push_back(r.entryId);
-    }
-    ASSERT_GE(entries.size(), 16u);
-
-    // Phase 2: concurrent writers + readers + a tag prober.
-    ThreadPool pool(3);
-    TaskGroup group(&pool);
-    std::atomic<bool> mismatch{false};
-    for (int ver = 0; ver < kVersions; ++ver) {
-        group.run([&, ver] {
-            for (const int64_t id : entries)
-                cache.writeData(id, ver,
-                                static_cast<float>(id * kVersions + ver));
-        });
-        group.run([&, ver] {
-            for (const int64_t id : entries) {
-                float got = 0.0f;
-                while (!cache.readDataIfValid(id, ver, got))
-                    std::this_thread::yield();
-                if (got != static_cast<float>(id * kVersions + ver))
-                    mismatch.store(true);
-            }
-        });
-    }
-    group.run([&] {
-        // Later-filter tag traffic into the same shards.
-        for (int64_t i = 128; i < 512; ++i)
-            cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
-    });
-    group.wait();
-    EXPECT_FALSE(mismatch.load());
-    EXPECT_TRUE(cache.lookupMix().consistent());
 }
 
 TEST(SpscQueue, DeliversInOrderAcrossThreads)

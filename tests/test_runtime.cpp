@@ -8,7 +8,7 @@
  * scheduling; zero-hit passes must be bit-identical to the exact
  * tensor ops, including the grouped and depthwise conv descriptors
  * (the MobileNet-style workload). Also: direct scheduler-contract
- * tests (per-filter stream order, group fan-out, beforeGroup hooks),
+ * tests (per-filter stream order, serial ascending filter order),
  * end-to-end training of inverted-residual blocks with all three
  * reuse passes, and a TSan stress for the sanitizer CI job.
  *
@@ -141,22 +141,18 @@ TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
     const SignatureRecord::Pass &pass = record.pass(0);
 
     constexpr int64_t kFilters = 6;
-    constexpr int64_t kInFlight = 4;
     std::vector<std::vector<int64_t>> starts(kFilters);
     std::vector<int64_t> covered(kFilters, 0);
-    std::atomic<int> before_calls{0};
 
     ReuseRuntime rt(fe, 24);
     ReuseRuntime::FilterPassSet set;
     set.rows = pass.rows;
     set.filters = kFilters;
-    set.inFlight = kInFlight;
     set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
         starts[static_cast<size_t>(f)].push_back(r0);
         covered[static_cast<size_t>(f)] += r1 - r0;
         return static_cast<uint64_t>(0);
     };
-    set.beforeGroup = [&](int64_t, int64_t) { before_calls.fetch_add(1); };
 
     ReuseStats stats;
     rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
@@ -169,14 +165,12 @@ TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
                                    starts[static_cast<size_t>(f)].end()))
             << "filter " << f << " saw blocks out of stream order";
     }
-    // One streamed group (no beforeGroup) + one whole-range group.
-    EXPECT_EQ(before_calls.load(), 1);
     // The runtime folded the recorded mix into the stats.
     EXPECT_EQ(stats.mix.vectors, pass.mix.vectors);
     EXPECT_EQ(stats.channelPasses, 1);
 }
 
-TEST(RuntimeScheduler, SerialModeRunsEveryGroupWithBeforeHook)
+TEST(RuntimeScheduler, SerialModeRunsFiltersInAscendingOrderOverAllRows)
 {
     Tensor rows = duplicateRows(48, 8, 5, kSeed + 1);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
@@ -186,26 +180,22 @@ TEST(RuntimeScheduler, SerialModeRunsEveryGroupWithBeforeHook)
     const SignatureRecord::Pass &pass = record.pass(0);
 
     std::vector<int64_t> order;
-    int before_calls = 0;
     ReuseRuntime rt(fe, 24);
     ReuseRuntime::FilterPassSet set;
     set.rows = pass.rows;
     set.filters = 5;
-    set.inFlight = 2;
     set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
         EXPECT_EQ(r0, 0);
         EXPECT_EQ(r1, pass.rows);
         order.push_back(f);
         return static_cast<uint64_t>(0);
     };
-    set.beforeGroup = [&](int64_t, int64_t) { ++before_calls; };
 
     ReuseStats stats;
     rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
                        stats);
-    // Groups {0,1} {2,3} {4}, filters ascending within each.
+    // Each filter runs once, whole-range, in ascending order.
     EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(before_calls, 3);
 }
 
 TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
@@ -708,7 +698,7 @@ TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
 // ---------------------------------------------------------------------
 // Sanitizer stress (TSan CI): hammer the overlapped scheduling of all
 // nine ported passes back to back, so chain hand-offs, TaskGroup
-// joins, and the MCACHE data plane see real contention.
+// joins, and the per-filter PassDataPlane slots see real contention.
 // ---------------------------------------------------------------------
 
 TEST(RuntimeStress, OverlappedPassesBackToBack)

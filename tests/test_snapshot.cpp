@@ -3,17 +3,21 @@
  * Serving-snapshot format tests: canonical round-trips across cache
  * organizations and shard counts, the full-validate-then-move failure
  * contract (truncation / corruption / version bumps reject cleanly
- * with no partial restore), and SignatureRecord sections.
+ * with no partial restore, tenants the target's quota gate cannot
+ * hold), SignatureRecord sections, and a seeded byte-mutation fuzz
+ * loop over parse() and restoreCache().
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "serve/snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace mercury {
 namespace {
@@ -155,6 +159,71 @@ TEST(Snapshot, RestoreRecountsTenantQuota)
         total += held;
     }
     EXPECT_GT(total, 0);
+}
+
+TEST(Snapshot, RestoreRejectsTenantsOutsideTheQuotaGateRange)
+{
+    // Lines stamped with tenant 70 cannot be held by a gate sized for
+    // tenants 0..63 (a server restarted with a smaller maxTenants).
+    ShardedMCache cache(64, 8, 1, 2);
+    cache.setInsertTenant(70);
+    for (int i = 0; i < 20; ++i)
+        (void)cache.lookupOrInsert(
+            sigOf(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull + 1));
+    Snapshot snap;
+    snap.addCache(1, cache);
+
+    ShardedMCache target(64, 8, 1, 2);
+    target.setTenantQuota(100, /*max_tenants=*/64);
+    target.setInsertTenant(1);
+    (void)target.lookupOrInsert(sigOf(0xBEEF));
+    const std::vector<uint8_t> before = bytesOf(target, 1);
+
+    std::string error;
+    EXPECT_FALSE(snap.restoreCache(1, target, error));
+    EXPECT_NE(error.find("70"), std::string::npos) << error;
+    EXPECT_EQ(bytesOf(target, 1), before);
+    EXPECT_EQ(target.tenantReserved(1), 1);
+}
+
+TEST(Snapshot, RestoreRejectsTenantsOverTheTargetQuota)
+{
+    // 20 lines of tenant 3 into a target whose quota holds 5 (a server
+    // restarted with a smaller tenantQuotaEntries).
+    ShardedMCache cache(64, 8, 1, 2);
+    cache.setInsertTenant(3);
+    for (int i = 0; i < 20; ++i)
+        (void)cache.lookupOrInsert(
+            sigOf(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull + 1));
+    Snapshot snap;
+    snap.addCache(1, cache);
+
+    ShardedMCache target(64, 8, 1, 4);
+    target.setTenantQuota(5, /*max_tenants=*/8);
+    target.setInsertTenant(3);
+    (void)target.lookupOrInsert(sigOf(0xBEEF));
+    const std::vector<uint8_t> before = bytesOf(target, 1);
+
+    std::string error;
+    EXPECT_FALSE(snap.restoreCache(1, target, error));
+    EXPECT_NE(error.find("quota"), std::string::npos) << error;
+    EXPECT_EQ(bytesOf(target, 1), before);
+    EXPECT_EQ(target.tenantReserved(3), 1);
+}
+
+TEST(Snapshot, ParseRejectsTenantsBelowMinusOne)
+{
+    // -1 means unowned; anything lower is corrupt, even with a valid
+    // checksum.
+    ShardedMCache cache(16, 2, 1, 1);
+    cache.restoreLine(3, sigOf(0xABC), /*epoch=*/1, /*tenant=*/-2);
+    const auto bytes = bytesOf(cache, 5);
+
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(
+        Snapshot::parse(bytes.data(), bytes.size(), out, error));
+    EXPECT_NE(error.find("tenant"), std::string::npos) << error;
 }
 
 TEST(Snapshot, MultipleSectionsAndLookup)
@@ -371,6 +440,108 @@ TEST(Snapshot, RecordSectionRoundTrips)
 
     SignatureRecord missing;
     EXPECT_FALSE(parsed.restoreRecord(78, missing, error));
+}
+
+TEST(Snapshot, ParseRejectsRecordEntryIdsOutOfRange)
+{
+    // A replay indexes per-entry tables by the recorded ids of HIT and
+    // MAU rows, so an id outside the record's entry count is corrupt.
+    std::vector<SignatureRecord::Pass> passes(1);
+    SignatureRecord::Pass &pass = passes[0];
+    pass.rows = 1;
+    pass.bits = 20;
+    pass.sigWordsPerRow = 1;
+    pass.sigWords = {0x12345u};
+    pass.entryIds = {64};
+    pass.outcomes = {static_cast<uint8_t>(McacheOutcome::Mau)};
+    pass.mix.vectors = 1;
+    pass.mix.mau = 1;
+    SignatureRecord rec;
+    rec.restore(std::move(passes), /*data_versions=*/2, /*entries=*/64);
+    Snapshot snap;
+    snap.addRecord(1, rec);
+    const auto bytes = snap.serialize();
+
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(
+        Snapshot::parse(bytes.data(), bytes.size(), out, error));
+    EXPECT_NE(error.find("entry id"), std::string::npos) << error;
+}
+
+// ---- Fuzzing --------------------------------------------------------
+
+/** Recompute the header's FNV-1a-64 payload checksum in place. */
+void
+resealChecksum(std::vector<uint8_t> &bytes)
+{
+    constexpr size_t kHeader = 32; // magic, version, flags, len, sum
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i = kHeader; i < bytes.size(); ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+    }
+    std::memcpy(bytes.data() + kHeader - sizeof h, &h, sizeof h);
+}
+
+TEST(SnapshotFuzz, MutatedPayloadsParseOrFailWithoutPartialState)
+{
+    // Mutate 1-4 payload bytes of a two-section snapshot and re-seal
+    // the checksum, so the structural checks of parse() — not only
+    // the checksum — see the damage. Every outcome must be clean: a
+    // parse either fails with an error and leaves `out` untouched, or
+    // succeeds; a successful parse then restores into a quota'd target
+    // of matching geometry, or fails leaving that target unchanged.
+    ShardedMCache source(64, 4, 2, 2);
+    populate(source, 60, 24); // tenants 0..2, 20 lines each
+    Snapshot snap;
+    snap.addCache(1, source);
+    snap.addRecord(2, makeRecord());
+    const std::vector<uint8_t> clean = snap.serialize();
+    constexpr size_t kHeader = 32;
+    ASSERT_GT(clean.size(), kHeader + 64);
+
+    Rng rng(2024);
+    int parsed_ok = 0, restored_ok = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::vector<uint8_t> bytes = clean;
+        const int mutations = 1 + static_cast<int>(rng.uniformInt(4));
+        for (int m = 0; m < mutations; ++m) {
+            const size_t at =
+                kHeader + rng.uniformInt(bytes.size() - kHeader);
+            bytes[at] ^= static_cast<uint8_t>(1 + rng.uniformInt(255));
+        }
+        resealChecksum(bytes);
+        SCOPED_TRACE("iteration " + std::to_string(iter));
+
+        Snapshot out;
+        ShardedMCache sentinel(16, 2, 1, 1);
+        out.addCache(99, sentinel);
+        const std::vector<uint8_t> out_before = out.serialize();
+        std::string error;
+        if (!Snapshot::parse(bytes.data(), bytes.size(), out, error)) {
+            EXPECT_FALSE(error.empty());
+            ASSERT_EQ(out.serialize(), out_before);
+            continue;
+        }
+        ++parsed_ok;
+
+        ShardedMCache target(64, 4, 2, 3);
+        target.setTenantQuota(24, /*max_tenants=*/4);
+        target.setInsertTenant(1);
+        (void)target.lookupOrInsert(sigOf(0xBEEF, 24));
+        const std::vector<uint8_t> target_before = bytesOf(target, 1);
+        if (out.restoreCache(1, target, error)) {
+            ++restored_ok;
+        } else {
+            EXPECT_FALSE(error.empty());
+            ASSERT_EQ(bytesOf(target, 1), target_before);
+        }
+    }
+    // Mutations of signature words and epochs leave a valid snapshot,
+    // so both branches of the contract are exercised.
+    EXPECT_GT(parsed_ok, 0);
+    EXPECT_GT(restored_ok, 0);
 }
 
 // ---- File I/O -------------------------------------------------------
