@@ -18,10 +18,12 @@
 #include "core/attention_engine.hpp"
 #include "core/conv_reuse_engine.hpp"
 #include "core/fc_engine.hpp"
+#include "core/pass_arena.hpp"
 #include "core/similarity_detector.hpp"
 #include "nn/mercury_hooks.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "pipeline/sharded_mcache.hpp"
+#include "util/executors.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
 #include "util/spsc_queue.hpp"
@@ -230,6 +232,79 @@ TEST(ShardedMCache, ShardCountClampedToSets)
     ShardedMCache sharded(4, 2, 1, 100);
     EXPECT_EQ(sharded.shardCount(), 4);
     EXPECT_EQ(sharded.entries(), 8);
+}
+
+TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
+{
+    // The streaming pass's shape: filters forward HITs of an earlier
+    // block through the PassDataPlane (one version slot per filter,
+    // owner deposit before hit read in stream order) while the calling
+    // thread keeps probing later blocks into the same shards. The tag
+    // plane and the value plane share nothing, so this runs without
+    // locks and every HIT reads its owner's deposit.
+    constexpr int kVersions = 4;
+    constexpr int64_t kFirstBlock = 128;
+    ShardedMCache cache(32, 4, kVersions, 8);
+    RPQEngine rpq(16, kMaxBits, 5);
+    const Tensor rows = prototypeVectors(512, 16, 24, 0.001f, 41);
+
+    std::vector<McacheResult> probed;
+    for (int64_t i = 0; i < kFirstBlock; ++i)
+        probed.push_back(
+            cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24)));
+    int64_t hits = 0;
+    for (const McacheResult &r : probed)
+        hits += r.outcome == McacheOutcome::Hit;
+    ASSERT_GE(hits, 16);
+
+    PassDataPlane plane;
+    plane.configure(cache.entries(), kVersions);
+    ThreadPool pool(3);
+    TaskGroup group(&pool);
+    std::atomic<int64_t> forwarded{0};
+    std::atomic<bool> mismatch{false};
+    for (int ver = 0; ver < kVersions; ++ver) {
+        group.run([&, ver] {
+            for (const McacheResult &r : probed) {
+                const float value =
+                    static_cast<float>(r.entryId * kVersions + ver);
+                if (r.outcome == McacheOutcome::Mau) {
+                    plane.write(r.entryId, ver, value);
+                } else if (r.outcome == McacheOutcome::Hit) {
+                    float got = 0.0f;
+                    if (!plane.readIfValid(r.entryId, ver, got) ||
+                        got != value)
+                        mismatch.store(true);
+                    forwarded.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (int64_t i = kFirstBlock; i < rows.dim(0); ++i)
+        (void)cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
+    group.wait();
+
+    EXPECT_FALSE(mismatch.load());
+    EXPECT_EQ(forwarded.load(), hits * kVersions);
+    const HitMix mix = cache.lookupMix();
+    EXPECT_TRUE(mix.consistent());
+    EXPECT_EQ(mix.vectors, rows.dim(0));
+}
+
+TEST(ShardedMCache, QuotaMaxTenantsFollowsTheGate)
+{
+    // Snapshot restore checks line tenants against this bound, so it
+    // must track every setTenantQuota call, including disabling.
+    ShardedMCache cache(16, 2, 1, 4);
+    EXPECT_EQ(cache.quotaMaxTenants(), 0);
+    cache.setTenantQuota(5, /*max_tenants=*/8);
+    EXPECT_EQ(cache.tenantQuota(), 5);
+    EXPECT_EQ(cache.quotaMaxTenants(), 8);
+    cache.setTenantQuota(3, /*max_tenants=*/2);
+    EXPECT_EQ(cache.quotaMaxTenants(), 2);
+    cache.setTenantQuota(0);
+    EXPECT_EQ(cache.tenantQuota(), 0);
+    EXPECT_EQ(cache.quotaMaxTenants(), 0);
 }
 
 TEST(Pipeline, ConvEngineIdenticalThroughSharedThreadedFrontend)

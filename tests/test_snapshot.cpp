@@ -211,6 +211,49 @@ TEST(Snapshot, RestoreRejectsTenantsOverTheTargetQuota)
     EXPECT_EQ(target.tenantReserved(3), 1);
 }
 
+TEST(Snapshot, RestoreAcceptsTenantsExactlyAtTheTargetQuota)
+{
+    // The quota check is "more than", not "as many as": a snapshot
+    // holding exactly the quota restores, and the gate is then full.
+    ShardedMCache cache(64, 8, 1, 2);
+    cache.setInsertTenant(3);
+    for (int i = 0; i < 5; ++i)
+        (void)cache.lookupOrInsert(
+            sigOf(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull + 1));
+    Snapshot snap;
+    snap.addCache(1, cache);
+
+    ShardedMCache target(64, 8, 1, 4);
+    target.setTenantQuota(5, /*max_tenants=*/8);
+    std::string error;
+    ASSERT_TRUE(snap.restoreCache(1, target, error)) << error;
+    EXPECT_EQ(bytesOf(target, 1), bytesOf(cache, 1));
+    EXPECT_EQ(target.tenantReserved(3), 5);
+    target.setInsertTenant(3);
+    EXPECT_EQ(target.lookupOrInsert(sigOf(0xBEEF)).outcome,
+              McacheOutcome::Mnu);
+}
+
+TEST(Snapshot, RestoreAdmitsUnownedLinesIntoAQuotaTarget)
+{
+    // Unowned lines (tenant -1) are never gated, so any number of them
+    // restores into a quota'd target and reserves nothing.
+    ShardedMCache cache(64, 8, 1, 2);
+    for (int i = 0; i < 20; ++i)
+        (void)cache.lookupOrInsert(
+            sigOf(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull + 1));
+    Snapshot snap;
+    snap.addCache(1, cache);
+
+    ShardedMCache target(64, 8, 1, 4);
+    target.setTenantQuota(1, /*max_tenants=*/2);
+    std::string error;
+    ASSERT_TRUE(snap.restoreCache(1, target, error)) << error;
+    EXPECT_EQ(bytesOf(target, 1), bytesOf(cache, 1));
+    EXPECT_EQ(target.tenantReserved(0), 0);
+    EXPECT_EQ(target.tenantReserved(1), 0);
+}
+
 TEST(Snapshot, ParseRejectsTenantsBelowMinusOne)
 {
     // -1 means unowned; anything lower is corrupt, even with a valid
@@ -442,35 +485,6 @@ TEST(Snapshot, RecordSectionRoundTrips)
     EXPECT_FALSE(parsed.restoreRecord(78, missing, error));
 }
 
-TEST(Snapshot, ParseRejectsRecordEntryIdsOutOfRange)
-{
-    // A replay indexes per-entry tables by the recorded ids of HIT and
-    // MAU rows, so an id outside the record's entry count is corrupt.
-    std::vector<SignatureRecord::Pass> passes(1);
-    SignatureRecord::Pass &pass = passes[0];
-    pass.rows = 1;
-    pass.bits = 20;
-    pass.sigWordsPerRow = 1;
-    pass.sigWords = {0x12345u};
-    pass.entryIds = {64};
-    pass.outcomes = {static_cast<uint8_t>(McacheOutcome::Mau)};
-    pass.mix.vectors = 1;
-    pass.mix.mau = 1;
-    SignatureRecord rec;
-    rec.restore(std::move(passes), /*data_versions=*/2, /*entries=*/64);
-    Snapshot snap;
-    snap.addRecord(1, rec);
-    const auto bytes = snap.serialize();
-
-    Snapshot out;
-    std::string error;
-    EXPECT_FALSE(
-        Snapshot::parse(bytes.data(), bytes.size(), out, error));
-    EXPECT_NE(error.find("entry id"), std::string::npos) << error;
-}
-
-// ---- Fuzzing --------------------------------------------------------
-
 /** Recompute the header's FNV-1a-64 payload checksum in place. */
 void
 resealChecksum(std::vector<uint8_t> &bytes)
@@ -483,6 +497,118 @@ resealChecksum(std::vector<uint8_t> &bytes)
     }
     std::memcpy(bytes.data() + kHeader - sizeof h, &h, sizeof h);
 }
+
+// Byte offsets in a snapshot holding no cache and one record section:
+// the 32-byte header, the cache and record counts, then the record's
+// key, versions, entries and pass count, then its first pass's rows.
+constexpr size_t kRecordEntriesAt = 32 + 4 + 4 + 8 + 4;
+constexpr size_t kFirstPassRowsAt = kRecordEntriesAt + 8 + 4;
+
+/** Serialized one-row record (64 entries, 2 versions) under key 1. */
+std::vector<uint8_t>
+oneRowRecordBytes(McacheOutcome outcome, int32_t entry_id)
+{
+    std::vector<SignatureRecord::Pass> passes(1);
+    SignatureRecord::Pass &pass = passes[0];
+    pass.rows = 1;
+    pass.bits = 20;
+    pass.sigWordsPerRow = 1;
+    pass.sigWords = {0x12345u};
+    pass.entryIds = {entry_id};
+    pass.outcomes = {static_cast<uint8_t>(outcome)};
+    pass.mix.vectors = 1;
+    pass.mix.hit = outcome == McacheOutcome::Hit;
+    pass.mix.mau = outcome == McacheOutcome::Mau;
+    pass.mix.mnu = outcome == McacheOutcome::Mnu;
+    SignatureRecord rec;
+    rec.restore(std::move(passes), /*data_versions=*/2, /*entries=*/64);
+    Snapshot snap;
+    snap.addRecord(1, rec);
+    return snap.serialize();
+}
+
+/** Parse `bytes`, expecting a rejection whose error names `what`. */
+void
+expectParseRejects(const std::vector<uint8_t> &bytes,
+                   const std::string &what)
+{
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(
+        Snapshot::parse(bytes.data(), bytes.size(), out, error));
+    EXPECT_NE(error.find(what), std::string::npos) << error;
+    EXPECT_EQ(out.serialize(), Snapshot().serialize());
+}
+
+TEST(Snapshot, ParseRejectsRecordEntryIdsOutOfRange)
+{
+    // A replay indexes per-entry tables by the recorded ids of HIT and
+    // MAU rows, so an id outside the record's entry count is corrupt.
+    expectParseRejects(oneRowRecordBytes(McacheOutcome::Mau, 64),
+                       "entry id");
+}
+
+TEST(Snapshot, ParseRejectsHitRowsWithoutAnEntry)
+{
+    // Only MNU rows may carry the "no entry" id -1.
+    const auto ok = oneRowRecordBytes(McacheOutcome::Mnu, -1);
+    Snapshot parsed;
+    std::string error;
+    ASSERT_TRUE(Snapshot::parse(ok.data(), ok.size(), parsed, error))
+        << error;
+    expectParseRejects(oneRowRecordBytes(McacheOutcome::Hit, -1),
+                       "entry id");
+    expectParseRejects(oneRowRecordBytes(McacheOutcome::Mau, -1),
+                       "entry id");
+}
+
+TEST(Snapshot, ParseRejectsMnuEntryIdsBelowMinusOne)
+{
+    expectParseRejects(oneRowRecordBytes(McacheOutcome::Mnu, -2),
+                       "entry id");
+}
+
+TEST(Snapshot, ParseRejectsPassRowsBeyondThePayload)
+{
+    // A row count no payload could hold is rejected before anything
+    // is sized from it.
+    auto bytes = oneRowRecordBytes(McacheOutcome::Mau, 3);
+    uint64_t rows = 0;
+    std::memcpy(&rows, bytes.data() + kFirstPassRowsAt, sizeof rows);
+    ASSERT_EQ(rows, 1u);
+    rows = uint64_t{1} << 40;
+    std::memcpy(bytes.data() + kFirstPassRowsAt, &rows, sizeof rows);
+    resealChecksum(bytes);
+    expectParseRejects(bytes, "rows exceed the payload");
+}
+
+TEST(Snapshot, ParseRejectsRecordEntriesBeyond32BitIds)
+{
+    // Recorded entry ids are int32, so 2^31 entries is the largest
+    // organization a record can address.
+    auto bytes = oneRowRecordBytes(McacheOutcome::Mau, 3);
+    uint64_t entries = 0;
+    std::memcpy(&entries, bytes.data() + kRecordEntriesAt,
+                sizeof entries);
+    ASSERT_EQ(entries, 64u);
+    entries = (uint64_t{1} << 31) + 1;
+    std::memcpy(bytes.data() + kRecordEntriesAt, &entries,
+                sizeof entries);
+    resealChecksum(bytes);
+    expectParseRejects(bytes, "32-bit");
+
+    entries = uint64_t{1} << 31;
+    std::memcpy(bytes.data() + kRecordEntriesAt, &entries,
+                sizeof entries);
+    resealChecksum(bytes);
+    Snapshot parsed;
+    std::string error;
+    EXPECT_TRUE(
+        Snapshot::parse(bytes.data(), bytes.size(), parsed, error))
+        << error;
+}
+
+// ---- Fuzzing --------------------------------------------------------
 
 TEST(SnapshotFuzz, MutatedPayloadsParseOrFailWithoutPartialState)
 {
