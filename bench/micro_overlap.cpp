@@ -1,17 +1,14 @@
 /**
  * @file
- * Microbenchmark of overlapped detection (streaming per-block
- * hand-off + threaded filter passes) against the run-then-filter
- * baseline, on a VGG13-sized conv layer.
+ * Microbenchmark of detection/compute overlap (§III-B, Fig. 8) on a
+ * VGG13-sized conv layer.
  *
- * Two views of the same question:
+ * Views of the same layer:
  *
  *  1. Functional wall time: ConvReuseEngine end-to-end layer time
- *     with `overlap` off (full detection pass, then serial filter
- *     loops) vs on (filter passes consume the block hand-off on the
- *     worker pool while later blocks hash). Outputs are verified
- *     bit-identical first. Wall-clock gains require spare cores; on a
- *     single-core host the two modes tie.
+ *     with the `overlap` knob off vs on. The host runs one schedule
+ *     (detect, then compute) for every knob value, so outputs are
+ *     verified bit-identical and the two times tie up to noise.
  *
  *  2. Modeled accelerator cycles (the paper's Fig. 8 metric): the
  *     row-stationary timing model with `overlapDetection` off vs on,
@@ -21,17 +18,16 @@
  *  3. The backward column (§III-C2): the input-gradient pass with
  *     `backwardReuse` replaying the forward-captured SignatureRecord
  *     — functional wall time of the replayed ConvReuseEngine
- *     backward (through the overlapped engine, so the dX scatter
- *     rides the worker pool in disjoint input-row bands) vs the
- *     exact conv2dBackwardInput, and the modeled backward layer
+ *     backward (images dealt to the conv lanes) vs the exact
+ *     conv2dBackwardInput, and the modeled backward layer
  *     cycles (replay-only signature charge) vs the no-reuse backward
  *     baseline.
  *
  *  4. The dW column (§III-C2 on Eq. 1): the weight-gradient pass
  *     with `weightGradReuse` replaying the same record by
- *     sum-then-multiply — functional wall time of the overlapped
- *     ConvReuseEngine::backwardWeights (pool-banded patch
- *     extraction) vs the exact conv2dBackwardWeight, and the modeled
+ *     sum-then-multiply — functional wall time of
+ *     ConvReuseEngine::backwardWeights ((group, channel) columns
+ *     dealt to the conv lanes) vs the exact conv2dBackwardWeight, and the modeled
  *     dW layer cycles
  *     (owner-only multiplies + per-group accumulates + replay-only
  *     signature charge) vs the no-reuse dW baseline. This closes the
@@ -159,11 +155,9 @@ main()
             },
             1.0);
     } else {
-        // The policy resolved the overlapped configuration to the
-        // serial schedule (not enough usable host concurrency or
-        // rows to pay the streaming tax), so both engines run the
-        // identical code path: wall parity holds by construction
-        // rather than by re-timing the same loop.
+        // Both engines run the identical host schedule: wall parity
+        // holds by construction rather than by re-timing the same
+        // loop.
         w_overlap = w_serial;
         std::printf("overlap policy '%s' resolved to '%s' on this host "
                     "(%d usable hw threads): overlapped schedule is the "

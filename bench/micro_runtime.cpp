@@ -1,17 +1,15 @@
 /**
  * @file
- * Microbenchmark of the ReuseRuntime-scheduled grouped/depthwise
- * convolution workload (the MobileNet-style scenario opened by the
- * runtime refactor): a depthwise 3x3 layer and a grouped 3x3 layer
- * run a full training step — forward with capture, replayed dX,
- * replayed dW — through the one streaming scheduler every engine
- * pass now rides.
+ * Microbenchmark of the grouped/depthwise convolution workload (the
+ * MobileNet-style scenario): a depthwise 3x3 layer and a grouped 3x3
+ * layer run a full training step — forward with capture, replayed
+ * dX, replayed dW — on the conv lanes.
  *
  * Three views per layer:
  *
- *  1. Bit-identity self-check: serial and overlapped scheduling must
- *     produce identical outputs and statistics (the golden contract
- *     tests/test_runtime.cpp pins; a divergence fails the bench).
+ *  1. Bit-identity self-check: the overlap knob off and on must
+ *     produce identical outputs and statistics (it feeds the cycle
+ *     model only; a divergence fails the bench).
  *  2. Modeled accelerator cycles of the full step: forward +
  *     backward(include_weight_grad) with overlapDetection +
  *     backwardReuse + weightGradReuse against the three-pass

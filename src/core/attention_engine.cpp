@@ -48,9 +48,9 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
 
     // One RowPass over the token rows (§III-C3-style forwarding): a
     // computed row is self-contained — w_i = X x_i needs only X, then
-    // y_i = w_i X needs only the row's own w_i — so computed rows run
-    // in any order; a HIT row copies only its owner's Y row (its W
-    // row is never read, exactly as in the staged formulation).
+    // y_i = w_i X needs only the row's own w_i; a HIT row copies only
+    // its owner's Y row (its W row is never read, exactly as in the
+    // staged formulation).
     std::optional<ReuseRuntime> local_rt;
     ReuseRuntime &rt =
         plan ? *plan->runtime
@@ -84,10 +84,6 @@ AttentionEngine::forward(const Tensor &x, ReuseStats &stats,
     };
     pass.copyRow = [&](int64_t i, int64_t o) {
         kernels::ops().copySpan(y.data() + i * d, y.data() + o * d, d);
-    };
-    pass.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(y.data() + r0 * d, y.data() + o0 * d,
-                                (r1 - r0) * d);
     };
     // A forwarded row skips both of its stages: t*d (W) + t*d (Y).
     pass.rowSkipCost =
@@ -204,10 +200,6 @@ AttentionEngine::backward(const Tensor &x, const Tensor &g,
     rp.copyRow = [&](int64_t i, int64_t o) {
         kernels::ops().copySpan(out.data() + i * d, out.data() + o * d,
                                 d);
-    };
-    rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * d,
-                                out.data() + o0 * d, (r1 - r0) * d);
     };
     rp.rowSkipCost = row_cost;
 

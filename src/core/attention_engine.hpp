@@ -8,14 +8,12 @@
  * similar W and Y rows, so HIT rows copy the owner's rows in both
  * stages — the same FC-style forwarding the paper applies.
  *
- * Overlap (§III-B, Fig. 8): with the frontend's `overlap` knob set
- * and a worker pool available, forward() consumes the detection
- * pipeline's streaming block hand-off. A computed row is
- * self-contained (w_i needs only X, y_i needs only w_i), so computed
- * rows of a delivered block fan out to the pool while later blocks
- * are still hashing; HIT rows are forwarded after the joins. Output
- * and statistics are bit-identical to the serial path. One thread
- * drives an engine (or a shared frontend) at a time.
+ * Every pass runs ReuseRuntime's one host schedule: detection of the
+ * sample's rows finishes, then rows compute or forward in row order.
+ * A computed row is self-contained (w_i needs only X, y_i needs only
+ * w_i), and a HIT row copies its owner's. The paper's Fig. 8 overlap
+ * of detection with PE work is priced by the cycle model only. One
+ * thread drives an engine (or a shared frontend) at a time.
  */
 
 #ifndef MERCURY_CORE_ATTENTION_ENGINE_HPP

@@ -1,7 +1,6 @@
 #include "core/conv_reuse_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/kernels/kernels.hpp"
 #include "core/span_batcher.hpp"
@@ -93,30 +92,28 @@ shapeRows(Tensor &rows, int64_t n, int64_t d)
 }
 
 /**
- * One filter pass over rows [r0, r1): HIT vectors fetch the owner's
- * dot product from the data plane (version slot `ver`), misses
- * compute, MAU rows deposit. Returns the MACs skipped. Rows arrive in
- * stream order per filter, so every HIT's owner (an earlier MAU row)
- * has already deposited; a filter owns its version slot exclusively
- * for the whole channel pass, which is what makes the plane's
- * unsynchronized access race-free (see pass_arena.hpp).
+ * One filter pass over a channel pass's rows: HIT vectors fetch the
+ * owner's dot product from the data plane, misses compute, MAU rows
+ * deposit. Returns the MACs skipped. Rows run in order, so every
+ * HIT's owner (an earlier MAU row) has already deposited; the plane
+ * holds this filter's values only (invalidated before each filter).
  */
 uint64_t
-filterSegment(PassDataPlane &plane, const Tensor &rows,
-              const McacheResult *row_results, const float *w, int ver,
-              int64_t r0, int64_t r1, int64_t d, float *out_base)
+filterPass(PassDataPlane &plane, const Tensor &rows,
+           const McacheResult *row_results, const float *w, int64_t v,
+           int64_t d, float *out_base)
 {
     uint64_t skipped = 0;
-    for (int64_t i = r0; i < r1; ++i) {
+    for (int64_t i = 0; i < v; ++i) {
         const McacheResult &mr = row_results[i];
         // Hide the next row's data-plane latency behind this row's
         // dot product (entry ids jump around the plane, so the
         // hardware stride prefetcher cannot see this pattern).
-        if (i + 1 < r1)
-            plane.prefetch(row_results[i + 1].entryId, ver);
+        if (i + 1 < v)
+            plane.prefetch(row_results[i + 1].entryId, 0);
         float val;
         if (mr.outcome == McacheOutcome::Hit &&
-            plane.readIfValid(mr.entryId, ver, val)) {
+            plane.readIfValid(mr.entryId, 0, val)) {
             // Reuse the earlier vector's result.
             skipped += static_cast<uint64_t>(d);
         } else {
@@ -126,7 +123,7 @@ filterSegment(PassDataPlane &plane, const Tensor &rows,
                 acc += row[e] * w[e];
             val = acc;
             if (mr.outcome == McacheOutcome::Mau)
-                plane.write(mr.entryId, ver, acc);
+                plane.write(mr.entryId, 0, acc);
         }
         out_base[i] += val;
     }
@@ -282,8 +279,7 @@ extractChannelPatches(const Tensor &input, const ConvSpec &spec, int64_t b,
 Tensor
 ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                          const Tensor &bias, const ConvSpec &spec,
-                         ReuseStats &stats, SignatureRecord *record,
-                         ConvPlanSlot *plan)
+                         ReuseStats &stats, SignatureRecord *record)
 {
     if (input.rank() != 4 || weight.rank() != 4)
         panic("ConvReuseEngine expects rank-4 input and weight");
@@ -300,113 +296,68 @@ ConvReuseEngine::forward(const Tensor &input, const Tensor &weight,
                     out[out.offset4(b, oc, 0, 0) + i] = bias[oc];
     }
 
-    if (fe.passesIndependent()) {
-        // Lane path: every pass starts from a cleared cache, so the
-        // images are dealt to the lanes whole — an image's passes
-        // accumulate into its own output planes, in the same (group,
-        // channel) order as a serial run. Each lane probes its own
-        // MCACHE through the layer's read-only projection, and HIT
-        // forwarding runs on the lane's data plane with one version
-        // slot, invalidated per filter: a filter only ever reads what
-        // it deposited itself in this pass.
-        const DetectionFrontend::LaneView view =
-            fe.laneView(geo.v, geo.d, bits);
-        if (record)
-            record->resizePasses(geo.passes(), fe.dataVersions(),
-                                 fe.entries());
-        const int64_t entries = fe.entries();
-        stats = lanes().run(fe, geo.n, [&](ConvLane &lane, int64_t b) {
-            shapeRows(lane.rows, geo.v, geo.d);
-            lane.plane.configure(entries, 1);
-            lane.results.resize(static_cast<size_t>(geo.v));
-            for (int64_t g = 0; g < geo.groups; ++g) {
-                for (int64_t ic = 0; ic < geo.cinG; ++ic) {
-                    const int64_t c = g * geo.cinG + ic;
-                    // Single-touch fusion: each projection block
-                    // extracts its rows right before hashing them.
-                    const DetectionResult det = view.detect(
-                        *lane.cache, lane.rows,
-                        [&](int64_t r0, int64_t r1) {
-                            extractChannelPatchRows(input, spec, b, c,
-                                                    geo.ow, r0, r1,
-                                                    lane.rows);
-                        });
-                    if (record)
-                        record->capturePassAt(geo.passIndex(b, g, ic),
-                                              det, bits);
-                    for (int64_t i = 0; i < geo.v; ++i)
-                        lane.results[static_cast<size_t>(i)] = {
-                            det.hitmap.outcome(i), det.hitmap.entryId(i)};
-                    for (int64_t f = 0; f < geo.coutG; ++f) {
-                        lane.plane.invalidateAll();
-                        lane.stats.macsSkipped += filterSegment(
-                            lane.plane, lane.rows, lane.results.data(),
-                            geo.kernel(weight, g, f, ic), 0, 0, geo.v,
-                            geo.d,
-                            out.data() +
-                                out.offset4(b, g * geo.coutG + f, 0, 0));
-                    }
-                    lane.stats.mix += det.mix();
-                    ++lane.stats.channelPasses;
-                    lane.stats.macsTotal += geo.passMacs();
-                }
-            }
-        });
-        return out;
-    }
-
-    // Ordered path (persistent cache): a pass HITs on what earlier
-    // passes left behind, so passes run one after another on the
-    // driving thread, each through the runtime's scheduler — with a
-    // pool and overlap, the filters stream against the detection
-    // hand-off. A bound plan slot provides the persistent runtime; a
-    // slot compiled for other geometry runs unplanned.
-    if (plan && (!plan->runtime || !plan->plan || plan->plan->rows != geo.v ||
-                 plan->plan->vecDim != geo.d))
-        plan = nullptr;
-    std::optional<ReuseRuntime> local_rt;
-    ReuseRuntime &rt = plan ? *plan->runtime : local_rt.emplace(fe, bits);
+    // Independent passes (every pass starts from a cleared cache) deal
+    // the images to the lanes whole: an image's passes accumulate into
+    // its own output planes, in the same (group, channel) order as a
+    // serial run, and each lane probes its own MCACHE through the
+    // layer's read-only projection. On a persistent or quota'd cache
+    // a pass depends on the ones before it, so one lane runs every
+    // image in (image, group, channel) order on the driving thread and
+    // detects through the frontend's cache (pooled; a persistent
+    // cache is not cleared, a quota'd one is probed in stream order).
+    // Either way HIT forwarding runs on the lane's data plane with one
+    // version slot, invalidated per filter: a filter only ever reads
+    // what it deposited itself in this pass.
+    const bool independent = fe.passesIndependent();
+    const DetectionFrontend::LaneView view =
+        fe.laneView(geo.v, geo.d, bits);
     if (record)
-        record->clear();
-
-    // One version slot PER FILTER on the runtime's data plane: every
-    // filter of a pass may be in flight at once, and each owns its
-    // slot for the whole pass, so no slot is recycled within a pass
-    // and the pass needs no group barriers.
-    PassDataPlane &plane = rt.dataPlane();
-    plane.configure(fe.entries(), static_cast<int>(geo.coutG));
-    const std::vector<McacheResult> &row_results = rt.rowResults();
-    Tensor rows({geo.v, geo.d});
-    stats = ReuseStats{};
-    for (int64_t b = 0; b < geo.n; ++b) {
+        record->resizePasses(geo.passes(), fe.dataVersions(),
+                             fe.entries());
+    const int64_t entries = fe.entries();
+    const auto forwardImage = [&](ConvLane &lane, int64_t b) {
         for (int64_t g = 0; g < geo.groups; ++g) {
             for (int64_t ic = 0; ic < geo.cinG; ++ic) {
                 const int64_t c = g * geo.cinG + ic;
-                // Pass-start clear; no segments in flight yet.
-                plane.invalidateAll();
-                ReuseRuntime::FilterPassSet set;
-                set.rows = geo.v;
-                set.filters = geo.coutG;
-                set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-                    return filterSegment(
-                        plane, rows, row_results.data(),
-                        geo.kernel(weight, g, f, ic), static_cast<int>(f),
-                        r0, r1, geo.d,
+                // Single-touch fusion: each projection block extracts
+                // its rows right before hashing them.
+                const RowFiller fill = [&](int64_t r0, int64_t r1) {
+                    extractChannelPatchRows(input, spec, b, c, geo.ow, r0,
+                                            r1, lane.rows);
+                };
+                const DetectionResult det =
+                    independent ? view.detect(*lane.cache, lane.rows, fill)
+                                : fe.detect(lane.rows, bits, nullptr, fill);
+                if (record)
+                    record->capturePassAt(geo.passIndex(b, g, ic), det,
+                                          bits);
+                for (int64_t i = 0; i < geo.v; ++i)
+                    lane.results[static_cast<size_t>(i)] = {
+                        det.hitmap.outcome(i), det.hitmap.entryId(i)};
+                for (int64_t f = 0; f < geo.coutG; ++f) {
+                    lane.plane.invalidateAll();
+                    lane.stats.macsSkipped += filterPass(
+                        lane.plane, lane.rows, lane.results.data(),
+                        geo.kernel(weight, g, f, ic), geo.v, geo.d,
                         out.data() +
                             out.offset4(b, g * geo.coutG + f, 0, 0));
-                };
-                rt.runFilterPasses(
-                    ReuseRuntime::StreamSource::live(
-                        rows, record,
-                        [&, b, c](int64_t r0, int64_t r1) {
-                            extractChannelPatchRows(input, spec, b, c,
-                                                    geo.ow, r0, r1, rows);
-                        }),
-                    set, stats);
-                stats.macsTotal += geo.passMacs();
+                }
+                lane.stats.mix += det.mix();
+                ++lane.stats.channelPasses;
+                lane.stats.macsTotal += geo.passMacs();
             }
         }
-    }
+    };
+    stats = lanes().run(
+        fe, independent ? geo.n : 1, [&](ConvLane &lane, int64_t item) {
+            shapeRows(lane.rows, geo.v, geo.d);
+            lane.plane.configure(entries, 1);
+            lane.results.resize(static_cast<size_t>(geo.v));
+            const int64_t b0 = independent ? item : 0;
+            const int64_t b1 = independent ? item + 1 : geo.n;
+            for (int64_t b = b0; b < b1; ++b)
+                forwardImage(lane, b);
+        });
     return out;
 }
 

@@ -26,12 +26,11 @@
  * the serial order. Results and statistics are bit-identical for any
  * thread count by construction.
  *
- * Only the forward over a PERSISTENT cache (serving) keeps the
- * ordered path: there a pass HITs on what earlier passes inserted,
- * so passes run in order on the driving thread, through
- * ReuseRuntime's filter-pass scheduler — with a pool and overlap
- * (§III-B, Fig. 8) the filter passes stream against the pipeline's
- * block hand-off while later blocks still hash.
+ * A forward over a persistent or quota'd cache (serving) is the one
+ * exception: there a pass depends on what earlier passes inserted, so
+ * the same pass body runs on one lane, pass after pass in (image,
+ * group, channel) order on the driving thread, detecting through the
+ * frontend's own cache.
  *
  * Backward (§III-C2): forward() optionally captures each channel
  * pass into a SignatureRecord; backwardInput() then computes the
@@ -55,8 +54,8 @@
  * gradient rows.
  *
  * Thread-safety: one thread calls forward(), backwardInput() and
- * backwardWeights(); the lanes (or the ordered path's filter tasks)
- * they fan out to run on the frontend's pool. Two threads must not
+ * backwardWeights(); the lanes they fan out to run on the frontend's
+ * pool. Two threads must not
  * call into one engine, into two engines sharing a frontend, or into
  * two engines sharing a ConvLanes, concurrently.
  *
@@ -76,7 +75,6 @@
 
 #include "core/mcache.hpp"
 #include "core/reuse_runtime.hpp"
-#include "core/runtime_planner.hpp"
 #include "core/similarity_detector.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "sim/dataflow.hpp"
@@ -146,16 +144,10 @@ class ConvReuseEngine
      * @param record when non-null, cleared and then filled with one
      *        captured pass per (image, channel) in forward order
      *        (image, group, channel), for the backward replay (§III-C2)
-     * @param plan   planned execution state (core/runtime_planner.hpp):
-     *        on a persistent cache the ordered path reuses the slot's
-     *        ReuseRuntime instead of building one per call (the lane
-     *        path needs none). Outputs and statistics are
-     *        bit-identical either way.
      */
     Tensor forward(const Tensor &input, const Tensor &weight,
                    const Tensor &bias, const ConvSpec &spec,
-                   ReuseStats &stats, SignatureRecord *record = nullptr,
-                   ConvPlanSlot *plan = nullptr);
+                   ReuseStats &stats, SignatureRecord *record = nullptr);
 
     /**
      * Input-gradient pass with replayed reuse (§III-C2): consumes the

@@ -57,10 +57,9 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
 
     Tensor out({n, m});
 
-    // One RowPass over the minibatch: stream-order owner bookkeeping
-    // on the driving thread, computed rows fanned out (they are
-    // mutually independent), HIT rows forwarded from their earlier
-    // PE once every owner has computed.
+    // One RowPass over the minibatch: owner bookkeeping in row order;
+    // computed rows take their dot products, HIT rows copy the result
+    // of their earlier PE (always an earlier, computed row).
     std::optional<ReuseRuntime> local_rt;
     ReuseRuntime &rt =
         plan ? *plan->runtime
@@ -91,10 +90,6 @@ FcEngine::forward(const Tensor &input, const Tensor &weight,
         // Result forwarding from the earlier PE.
         kernels::ops().copySpan(out.data() + i * m, out.data() + o * m,
                                 m);
-    };
-    pass.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * m,
-                                out.data() + o0 * m, (r1 - r0) * m);
     };
     pass.rowSkipCost =
         static_cast<uint64_t>(d) * static_cast<uint64_t>(m);
@@ -161,10 +156,6 @@ FcEngine::backwardInput(const Tensor &grad, const Tensor &weight,
     rp.copyRow = [&](int64_t i, int64_t o) {
         kernels::ops().copySpan(out.data() + i * d, out.data() + o * d,
                                 d);
-    };
-    rp.copyRowSpan = [&](int64_t r0, int64_t r1, int64_t o0) {
-        kernels::ops().copySpan(out.data() + r0 * d,
-                                out.data() + o0 * d, (r1 - r0) * d);
     };
     rp.rowSkipCost =
         static_cast<uint64_t>(d) * static_cast<uint64_t>(m);

@@ -6,15 +6,12 @@
  * receives every weight-column result from the "earlier PE" that owns
  * the matching signature instead of recomputing the dot products.
  *
- * Overlap (§III-B, Fig. 8): with the frontend's `overlap` knob set
- * and a worker pool available, forward() consumes the detection
- * pipeline's streaming block hand-off — computed rows of a delivered
- * block fan out to the pool while later blocks are still hashing, and
- * HIT rows are forwarded after the joins (owners are always computed
- * rows, so forwarding chains have depth one). Outputs, owner maps,
- * and statistics are bit-identical to the serial run-then-filter
- * path. forward() itself is single-caller: one thread drives an
- * engine (or a shared frontend) at a time.
+ * Every pass runs ReuseRuntime's one host schedule: detection of the
+ * minibatch finishes, then rows compute or forward in row order
+ * (owners are always computed rows, so forwarding chains have depth
+ * one). The paper's Fig. 8 overlap of detection with PE work is
+ * priced by the cycle model only. forward() is single-caller: one
+ * thread drives an engine (or a shared frontend) at a time.
  */
 
 #ifndef MERCURY_CORE_FC_ENGINE_HPP

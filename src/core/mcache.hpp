@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/signature.hpp"
-#include "util/prefetch.hpp"
 #include "util/stats.hpp"
 
 namespace mercury {
@@ -102,19 +101,6 @@ class MCache
 
     /** Set index a signature maps to (exposed for tests). */
     int setIndexOf(const Signature &sig) const;
-
-    /**
-     * Software-prefetch the set's lines ahead of a probe. A pure
-     * host-side hint: no stats, no state, nothing the timing model
-     * sees. The streaming probe loop uses it to pull row i+1's set
-     * into cache while row i's tag compare runs.
-     */
-    void prefetchSet(int set) const
-    {
-        const Line *l = &lines_[static_cast<size_t>(set) * ways_];
-        for (int w = 0; w < ways_; ++w)
-            prefetchRead(l + w);
-    }
 
     /** Occupancy (valid tags) of one set. */
     int setOccupancy(int set) const;

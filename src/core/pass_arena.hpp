@@ -8,34 +8,25 @@
  *
  * A bump allocator over a list of 64-byte-aligned chunks. take()
  * calls bump within the current chunk; reset() rewinds to the first
- * chunk WITHOUT freeing, so a steady-state pass sequence (the 64
- * channel passes of one conv layer call, say) allocates on the first
- * pass and reuses the same cache-hot memory on every later one —
- * replacing the per-block / per-pass std::vector churn the profile
- * showed in the scheduler hot loops.
+ * chunk WITHOUT freeing, so a steady-state pass sequence (the
+ * weight-gradient replays of successive steps, say) allocates on the
+ * first pass and reuses the same cache-hot memory on every later one.
  *
  * Lifetime contract: pointers from take() stay valid until the next
- * reset() (chunks never move or free before then). reset() must not
- * run while any task still reads an arena pointer — the scheduler
- * resets only at run* entry, after every task of the previous pass
- * has joined. One thread calls take()/reset(); worker tasks may read
- * and write the taken buffers concurrently as long as they partition
- * them (the same rule any shared output buffer obeys).
+ * reset() (chunks never move or free before then). One thread calls
+ * take()/reset() and uses the buffers.
  *
  * ## PassDataPlane
  *
  * The flat (version, entry) value/valid store behind conv-forward HIT
  * forwarding: the paper's multi-version MCACHE data portion (Fig. 11),
- * kept apart from the tag-only MCache. The reuse scheduler's ordering
- * contract makes it lock-free: each in-flight filter owns one
- * distinct version slot, and a filter's segments are chained in
- * stream order (owner deposit happens-before hit read on the same
- * chain) — so no two threads ever touch the same (version, entry)
- * cell, and plain unsynchronized loads/stores are race-free. Validity
- * lives in bytes, not packed bits: two filters writing neighboring
- * entries must not share a memory location. invalidateAll() (the
- * paper's Valid-Data bitline) requires quiescence: driving thread,
- * between channel passes.
+ * kept apart from the tag-only MCache. It has no locks: every thread
+ * that deposits or reads owns its plane or a distinct version slot of
+ * it (each conv lane owns a plane and uses one slot, invalidated per
+ * filter). Validity lives in bytes, not packed bits: two owners
+ * writing neighboring entries must not share a memory location.
+ * invalidateAll() (the paper's Valid-Data bitline) requires
+ * quiescence.
  */
 
 #ifndef MERCURY_CORE_PASS_ARENA_HPP
@@ -188,9 +179,9 @@ class PassDataPlane
     int versions() const { return versions_; }
 
   private:
-    // Version-major layout: one filter's slot is a contiguous
-    // entries_-sized region, so a chained filter's reads and writes
-    // stay within its own cache lines.
+    // Version-major layout: one slot is a contiguous entries_-sized
+    // region, so one owner's reads and writes stay within its own
+    // cache lines.
     size_t cell(int64_t entry, int version) const
     {
         return static_cast<size_t>(version) *

@@ -5,46 +5,15 @@
 #include <memory>
 
 #include "core/kernels/kernels.hpp"
-#include "core/span_batcher.hpp"
 
 namespace mercury {
 
 DetectionResult
-ReuseRuntime::deliver(const StreamSource &src, const BlockConsumer &cb)
-{
-    if (src.pass_) {
-        fe_.replayStream(*src.pass_, cb);
-        return DetectionResult{};
-    }
-    return fe_.detectStream(*src.rows_, bits_, cb, src.capture_,
-                            src.fill_);
-}
-
-void
-ReuseRuntime::sizeRowResults(const StreamSource &src)
-{
-    // Sized once, from the source's row count, before any block is
-    // delivered — the stream callbacks and serial fills below only
-    // write elements in place (capacity persists across passes, so
-    // steady state never reallocates).
-    if (!src.isReplay())
-        rowResults_.resize(static_cast<size_t>(src.rowCount()));
-}
-
-DetectionResult
-ReuseRuntime::consumeSerial(const StreamSource &src)
+ReuseRuntime::detect(const StreamSource &src)
 {
     if (src.pass_)
-        return DetectionResult{};
-    sizeRowResults(src);
-    const DetectionResult det =
-        fe_.detect(*src.rows_, bits_, src.capture_, src.fill_);
-    const int64_t n = det.hitmap.size();
-    for (int64_t i = 0; i < n; ++i) {
-        rowResults_[static_cast<size_t>(i)] = {det.hitmap.outcome(i),
-                                               det.hitmap.entryId(i)};
-    }
-    return det;
+        return DetectionResult();
+    return fe_.detect(*src.rows_, bits_, src.capture_);
 }
 
 void
@@ -55,178 +24,26 @@ ReuseRuntime::addPassStats(const StreamSource &src,
     ++stats.channelPasses;
 }
 
-ThreadPool *
-ReuseRuntime::passPool(int64_t rows)
-{
-    return overlappedFor(rows) ? fe_.workerPool() : nullptr;
-}
-
-DetectionResult
-ReuseRuntime::runFilterPasses(const StreamSource &src,
-                              const FilterPassSet &set, ReuseStats &stats)
-{
-    DetectionResult det;
-    ThreadPool *p = passPool(src.rowCount());
-    if (!p) {
-        // Run-then-filter: the whole pass is detected first, so each
-        // filter covers rows [0, rows) in one segment, in ascending
-        // filter order.
-        det = consumeSerial(src);
-        for (int64_t f = 0; f < set.filters; ++f)
-            stats.macsSkipped += set.segment(f, 0, set.rows);
-        addPassStats(src, det, stats);
-        return det;
-    }
-
-    // Every filter consumes the stream. Each serial chain owns a
-    // contiguous RANGE of the filters: every block of a filter flows
-    // through one chain in delivery order (owner-before-hit within a
-    // filter), distinct chains run in parallel, and later blocks still
-    // hash. Chain width is capped at the pool's executor count — more
-    // chains than executors cannot add parallelism, only task churn.
-    const int64_t nchains = std::min<int64_t>(
-        set.filters, static_cast<int64_t>(p->workers()) + 1);
-    const bool live = !src.isReplay();
-    sizeRowResults(src);
-
-    if (nchains == 1) {
-        // A single consumer chain cannot run in parallel with itself:
-        // its tasks would execute the same segments in the same
-        // delivery order the callback runs in, so chaining buys
-        // nothing and pays a task hand-off per block. Run the range
-        // inline in the delivery callback — identical segment order,
-        // zero scheduling.
-        uint64_t s = 0;
-        det = deliver(src, [&](const DetectionBlock &blk) {
-            if (live) {
-                std::copy(blk.results, blk.results + blk.rows(),
-                          rowResults_.begin() + blk.row0);
-            }
-            for (int64_t f = 0; f < set.filters; ++f)
-                s += set.segment(f, blk.row0, blk.row1);
-        });
-        stats.macsSkipped += s;
-    } else {
-        // The consumer chains are runtime members reused across
-        // channel passes; a drained SerialExecutor is safely re-armed
-        // by its next run().
-        while (static_cast<int64_t>(chains_.size()) < nchains)
-            chains_.push_back(std::make_unique<SerialExecutor>(p));
-        std::vector<uint64_t> skipped(static_cast<size_t>(nchains), 0);
-        det = deliver(src, [&](const DetectionBlock &blk) {
-            if (live) {
-                // The block's result pointers die with the callback;
-                // copy into runtime-owned storage the chains can read
-                // asynchronously.
-                std::copy(blk.results, blk.results + blk.rows(),
-                          rowResults_.begin() + blk.row0);
-            }
-            for (int64_t c = 0; c < nchains; ++c) {
-                const int64_t f0 = c * set.filters / nchains;
-                const int64_t f1 = (c + 1) * set.filters / nchains;
-                chains_[static_cast<size_t>(c)]->run(
-                    [&set, &skipped, c, f0, f1, r0 = blk.row0,
-                     r1 = blk.row1] {
-                        uint64_t s = 0;
-                        for (int64_t f = f0; f < f1; ++f)
-                            s += set.segment(f, r0, r1);
-                        skipped[static_cast<size_t>(c)] += s;
-                    });
-            }
-        });
-        for (int64_t c = 0; c < nchains; ++c)
-            chains_[static_cast<size_t>(c)]->wait();
-        for (const uint64_t s : skipped)
-            stats.macsSkipped += s;
-    }
-
-    addPassStats(src, det, stats);
-    return det;
-}
-
 DetectionResult
 ReuseRuntime::runRows(const StreamSource &src, const RowPass &pass,
                       ReuseStats &stats)
 {
-    DetectionResult det;
-    if (ThreadPool *p = passPool(src.rowCount())) {
-        // Computed rows of each delivered block fan out to the pool
-        // while later blocks hash; forwarded rows are copied after
-        // the joins (owners are always computed rows, so forwarding
-        // chains have depth one). Bookkeeping runs on this thread in
-        // stream order. All per-pass lists live in the runtime arena:
-        // the computed slab is indexed by block start (each block's
-        // batch is a stable slice the fanned-out task reads), and the
-        // forward lists grow only on this thread.
-        arena_.reset();
-        const int64_t n = src.rowCount();
-        int64_t *fwd_rows = arena_.indices(n);
-        int64_t *fwd_owners = arena_.indices(n);
-        int64_t *computed = arena_.indices(n);
-        int64_t nfwd = 0;
-        TaskGroup computes(p);
-        det = deliver(src, [&](const DetectionBlock &blk) {
-            int64_t *batch = computed + blk.row0;
-            int64_t nc = 0;
-            for (int64_t i = blk.row0; i < blk.row1; ++i) {
-                const int64_t o =
-                    pass.ownerOf(i, blk.results[i - blk.row0]);
-                if (o != i) {
-                    fwd_rows[nfwd] = i;
-                    fwd_owners[nfwd] = o;
-                    ++nfwd;
-                    stats.macsSkipped += pass.rowSkipCost;
-                } else {
-                    batch[nc++] = i;
-                }
-            }
-            if (nc > 0) {
-                computes.run([&pass, batch, nc] {
-                    for (int64_t j = 0; j < nc; ++j)
-                        pass.computeRow(batch[j]);
-                });
-            }
-        });
-        computes.wait();
-        // Coalesce adjacent forwards (rows and owners both stepping
-        // by one) into span copies; the spans partition the forward
-        // list, so span j is [starts[j], starts[j+1]).
-        int64_t *starts = arena_.indices(nfwd);
-        int64_t nspans = 0;
-        forEachConsecutiveSpan(fwd_rows, fwd_owners, nfwd,
-                               [&](int64_t i0, int64_t) {
-                                   starts[nspans++] = i0;
-                               });
-        p->parallelFor(nspans, [&](int64_t j) {
-            const int64_t i0 = starts[j];
-            const int64_t i1 = j + 1 < nspans ? starts[j + 1] : nfwd;
-            if (i1 - i0 > 1 && pass.copyRowSpan) {
-                pass.copyRowSpan(fwd_rows[i0],
-                                 fwd_rows[i0] + (i1 - i0),
-                                 fwd_owners[i0]);
-            } else {
-                for (int64_t i = i0; i < i1; ++i)
-                    pass.copyRow(fwd_rows[i], fwd_owners[i]);
-            }
-        });
-    } else {
-        det = consumeSerial(src);
-        const int64_t n = src.rowCount();
-        const bool live = !src.isReplay();
-        for (int64_t i = 0; i < n; ++i) {
-            const McacheResult res =
-                live ? rowResults_[static_cast<size_t>(i)]
-                     : McacheResult{};
-            const int64_t o = pass.ownerOf(i, res);
-            if (o != i) {
-                pass.copyRow(i, o);
-                stats.macsSkipped += pass.rowSkipCost;
-                continue;
-            }
-            pass.computeRow(i);
+    const DetectionResult det = detect(src);
+    const int64_t n = src.rowCount();
+    const bool live = !src.isReplay();
+    for (int64_t i = 0; i < n; ++i) {
+        const McacheResult res =
+            live ? McacheResult{det.hitmap.outcome(i),
+                                det.hitmap.entryId(i)}
+                 : McacheResult{};
+        const int64_t o = pass.ownerOf(i, res);
+        if (o != i) {
+            pass.copyRow(i, o);
+            stats.macsSkipped += pass.rowSkipCost;
+            continue;
         }
+        pass.computeRow(i);
     }
-
     addPassStats(src, det, stats);
     return det;
 }
@@ -235,23 +52,10 @@ DetectionResult
 ReuseRuntime::runScan(const StreamSource &src, const ScanPass &pass,
                       ReuseStats &stats)
 {
-    DetectionResult det;
-    if (ThreadPool *p = passPool(src.rowCount())) {
-        // The scan consumes the hand-off on the driving thread — no
-        // block is independent of the ones before it — then the
-        // finish items fan out, one disjoint slice per task.
-        det = deliver(src, [&](const DetectionBlock &blk) {
-            pass.scan(blk.row0, blk.row1);
-        });
-        if (pass.finishItems > 0)
-            p->parallelFor(pass.finishItems, pass.finishItem);
-    } else {
-        det = consumeSerial(src);
-        pass.scan(0, src.rowCount());
-        for (int64_t i = 0; i < pass.finishItems; ++i)
-            pass.finishItem(i);
-    }
-
+    const DetectionResult det = detect(src);
+    pass.scan(0, src.rowCount());
+    for (int64_t i = 0; i < pass.finishItems; ++i)
+        pass.finishItem(i);
     addPassStats(src, det, stats);
     return det;
 }
@@ -314,8 +118,8 @@ weightGradReplay(ReuseRuntime &rt, const SignatureRecord &record,
 
     // Group sums over the pass's b-rows: the owner slot starts as a
     // copy of its own row (bit-exact for singleton groups), HIT rows
-    // fold in with adds. Stream order guarantees the owner's copy
-    // lands before any of its hits accumulate. The buffer comes from
+    // fold in with adds. Row order guarantees the owner's copy lands
+    // before any of its hits accumulate. The buffer comes from
     // the runtime's scratch arena (no per-pass allocation); owner
     // slots are always copy-initialized before any read and
     // non-owner slots are never read, so it needs no zero fill.

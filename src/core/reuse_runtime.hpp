@@ -1,82 +1,43 @@
 /**
  * @file
- * ReuseRuntime: the one streaming scheduler every reuse pass runs on.
+ * ReuseRuntime: the one schedule every row-granular reuse pass runs.
  *
  * MERCURY's loop — detect similarity once, then skip MACs in forward,
- * dX, and dW (§III-C, Eq. 1) — used to be scheduled three times over:
- * ConvReuseEngine, FcEngine, and AttentionEngine each hand-rolled
- * stream consumption, owner-before-hit ordering, SerialExecutor /
- * TaskGroup plumbing, and the serial-vs-overlapped fork for each of
- * their three passes — nine near-duplicate scheduling paths. The
- * runtime factors that machinery out: an engine now states *what* a
- * pass does (a declarative pass descriptor of row gather / owner
- * compute / hit scatter / group-accumulate callbacks) and the runtime
- * decides *how* it runs (serial run-then-filter, or overlapped
- * against the streaming DetectionBlock hand-off), with the ordering
- * contracts stated exactly once, here.
+ * dX, and dW (§III-C, Eq. 1) — is stated here once for the FC and
+ * attention engines: an engine describes *what* a pass does (a pass
+ * descriptor of owner bookkeeping / row compute / row copy / scan
+ * callbacks) and the runtime runs it. Every pass has one host
+ * schedule: detect, then compute. Detection of a live pass finishes
+ * (on the frontend's pool) before the first row is computed; the
+ * paper's Fig. 8 overlap of signature generation with PE work is
+ * priced by the cycle model only (sim/dataflow.cpp).
  *
  * ## Stream sources
- *
- * Every pass consumes one stream of DetectionBlocks, from one of
- * two sources (StreamSource):
  *
  *  - live(rows)   — a fresh detection pass over a row population
  *                   (forward passes; optionally captured into a
  *                   SignatureRecord for later replay);
- *  - replay(pass) — a recorded pass re-delivered with zero hashing or
- *                   probing cycles and no MCACHE access (§III-C2; the
+ *  - replay(pass) — a recorded pass, with zero hashing or probing
+ *                   cycles and no MCACHE access (§III-C2; the
  *                   backward and weight-gradient passes).
  *
  * ## Pass descriptors
  *
- * Three descriptor shapes cover every reuse pass in the system:
+ *  - RowPass — row-granular result forwarding (§III-C3): owner
+ *    bookkeeping in row order decides per row whether it computes or
+ *    copies its owner's result. Owners are always earlier computed
+ *    rows, so a copy always reads a finished row. FC and attention
+ *    forward, and both of their input-gradient replays, are RowPasses.
  *
- *  - FilterPassSet — `filters` filter passes over the stream's rows,
- *    all in flight at once (the multi-version MCACHE data of Fig. 11,
- *    one PassDataPlane slot per filter). Overlapped, every filter
- *    consumes the stream: SerialExecutor chains receive every block
- *    in delivery order, so each filter sees its rows in stream order
- *    (the owner-writes-before-hit-reads discipline) while distinct
- *    filters run in parallel. Serially, the filters run in ascending
- *    order, each over rows [0, rows), after detection. The conv
- *    forward over a persistent MCACHE is a FilterPassSet; every other
- *    conv pass runs whole channel passes on ConvLanes (below).
+ *  - ScanPass — an ordered scan over the rows (per-owner group
+ *    accumulation, §III-C2 sum-then-multiply), then a finish loop
+ *    over disjoint items (the per-group outer products). The
+ *    weight-gradient replays of FC and attention are ScanPasses, via
+ *    weightGradReplay below.
  *
- *  - RowPass — row-granular result forwarding (§III-C3): stream-order
- *    owner bookkeeping on the driving thread decides per row whether
- *    it computes or copies its owner's result. Computed rows are
- *    mutually independent and fan out through a TaskGroup while later
- *    blocks still hash; copies run after the joins (owners are always
- *    computed rows, so forwarding chains have depth one), with
- *    adjacent forwards whose owners are also adjacent coalesced into
- *    single span copies (span_batcher.hpp, RowPass::copyRowSpan). FC
- *    and attention forward, and both of their input-gradient replays,
- *    are RowPasses.
- *
- *  - ScanPass — an ordered scan over the stream on the driving thread
- *    (per-owner group accumulation, §III-C2 sum-then-multiply),
- *    followed by an optional parallel finish fan-out (the per-group
- *    outer products). The weight-gradient replays of FC and attention
- *    are ScanPasses, via weightGradReplay below.
- *
- * ## Ordering contract (stated once, relied on by all)
- *
- * One thread drives a runtime pass at a time (the engine's caller).
- * Blocks are delivered in ascending order on the driving thread; a
- * block's MCACHE probe happens-before its delivery. Chained segments
- * of one filter run in delivery order and never concurrently with
- * each other; segments of different filters, and computed-row tasks,
- * run concurrently on the pool. Conv-forward HIT forwarding runs on
- * the runtime's arena-backed PassDataPlane, where the per-filter
- * version-slot discipline makes unsynchronized access race-free (see
- * pass_arena.hpp); the MCACHE itself holds tags only and is probed
- * by the detection pass alone. Block result
- * pointers die when the delivery callback returns — the runtime
- * copies them into rowResults() before any chain task can run.
- * Replay sources never touch the MCACHE at all. With overlap disabled
- * (or no pool) everything runs serially on the driving thread in the
- * exact legacy order; outputs and statistics are bit-identical either
- * way.
+ * Conv passes do not run here: whole channel passes run on ConvLanes
+ * (below). One thread drives a runtime at a time (the engine's
+ * caller); outputs and statistics do not depend on the thread count.
  */
 
 #ifndef MERCURY_CORE_REUSE_RUNTIME_HPP
@@ -92,8 +53,6 @@
 #include "pipeline/signature_record.hpp"
 #include "sim/dataflow.hpp"
 #include "tensor/tensor.hpp"
-#include "util/executors.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mercury {
 
@@ -123,7 +82,7 @@ struct ReuseStats
     }
 };
 
-/** Per-pass streaming scheduler for the reuse engines. */
+/** Per-pass scheduler for the row-granular reuse engines. */
 class ReuseRuntime
 {
   public:
@@ -140,25 +99,17 @@ class ReuseRuntime
     ReuseRuntime(const ReuseRuntime &) = delete;
     ReuseRuntime &operator=(const ReuseRuntime &) = delete;
 
-    /** Where the blocks of one scheduled pass come from. */
+    /** Where the rows of one scheduled pass come from. */
     class StreamSource
     {
       public:
-        /**
-         * Fresh detection pass over `rows`, optionally captured. With
-         * a RowFiller, `rows` is materialized block by block right
-         * before each block is hashed (single-touch fused extraction;
-         * see pipeline/detection_pipeline.hpp) — the tensor is fully
-         * filled by the time any segment reads it.
-         */
+        /** Fresh detection pass over `rows`, optionally captured. */
         static StreamSource live(const Tensor &rows,
-                                 SignatureRecord *capture = nullptr,
-                                 RowFiller fill = {})
+                                 SignatureRecord *capture = nullptr)
         {
             StreamSource s;
             s.rows_ = &rows;
             s.capture_ = capture;
-            s.fill_ = std::move(fill);
             return s;
         }
 
@@ -172,7 +123,7 @@ class ReuseRuntime
 
         bool isReplay() const { return pass_ != nullptr; }
 
-        /** Rows the stream will deliver. */
+        /** Rows the pass covers. */
         int64_t rowCount() const
         {
             if (pass_)
@@ -187,35 +138,17 @@ class ReuseRuntime
         const Tensor *rows_ = nullptr;
         const SignatureRecord::Pass *pass_ = nullptr;
         SignatureRecord *capture_ = nullptr;
-        RowFiller fill_; ///< fused extraction of live sources
-    };
-
-    /**
-     * Chained filter passes over one stream (conv-style).
-     *
-     * `segment(f, r0, r1)` processes rows [r0, r1) of filter pass `f`
-     * and returns the MACs it skipped. Within one filter, segments
-     * arrive in stream order and never overlap, so filter `f` may
-     * own data slot `f` for the whole pass.
-     */
-    struct FilterPassSet
-    {
-        int64_t rows = 0;    ///< rows of the stream
-        int64_t filters = 0; ///< filter passes, all in flight at once
-        std::function<uint64_t(int64_t f, int64_t r0, int64_t r1)> segment;
     };
 
     /**
      * Row-forwarding pass (FC / attention style, §III-C3).
      *
-     * `ownerOf(row, res)` runs on the driving thread in stream order
-     * and returns the row whose result this row forwards (the row
-     * itself to compute) — live passes do their owner-of-entry
-     * bookkeeping here; replays read the record's owner map (`res` is
-     * default-constructed for serial replays). `computeRow` runs once
-     * per computed row, possibly concurrently across rows; `copyRow`
-     * runs after every owner has computed. Each row is written by
-     * exactly one invocation, and `rowSkipCost` MACs are booked into
+     * For each row in ascending order, `ownerOf(row, res)` returns the
+     * row whose result this row forwards (the row itself to compute)
+     * — live passes do their owner-of-entry bookkeeping here; replays
+     * read the record's owner map (`res` is default-constructed for
+     * replays). The row is then computed (`computeRow`) or copied from
+     * its owner (`copyRow`), and `rowSkipCost` MACs are booked into
      * the stats per forwarded row.
      */
     struct RowPass
@@ -224,27 +157,15 @@ class ReuseRuntime
             ownerOf;
         std::function<void(int64_t row)> computeRow;
         std::function<void(int64_t row, int64_t owner)> copyRow;
-        /**
-         * Optional span form of copyRow: copy rows [row0, row1) from
-         * owners [owner0, owner0 + (row1 - row0)) in one move. The
-         * overlapped scheduler coalesces adjacent forwards whose rows
-         * and owners both step by one (see span_batcher.hpp — such
-         * source/destination ranges never overlap) and calls this
-         * instead of per-row copies; per-row copyRow remains the
-         * fallback for singletons and when this is unset.
-         */
-        std::function<void(int64_t row0, int64_t row1, int64_t owner0)>
-            copyRowSpan;
         uint64_t rowSkipCost = 0;
     };
 
     /**
-     * Ordered scan + parallel finish (weight-gradient style,
-     * §III-C2 sum-then-multiply). `scan(r0, r1)` consumes the stream
-     * in order on the driving thread (group accumulation — no block
-     * is independent of the ones before it); after the stream drains,
-     * `finishItem(i)` fans `finishItems` disjoint work items out over
-     * the pool (the per-group multiplies).
+     * Ordered scan + finish (weight-gradient style, §III-C2
+     * sum-then-multiply): `scan(r0, r1)` walks the rows in order
+     * (group accumulation — no row is independent of the ones before
+     * it), then `finishItem(i)` runs for each of `finishItems`
+     * disjoint work items (the per-group multiplies).
      */
     struct ScanPass
     {
@@ -254,86 +175,27 @@ class ReuseRuntime
     };
 
     /**
-     * Resolved overlap decision for a pass of `rows` vectors: the
-     * frontend's mode (Auto resolves from threads x rows) gated on a
-     * pool existing. The engines consult this per pass shape to pick
-     * the stream source they build; the run* entry points make the
-     * same call internally, so both sides always agree.
-     */
-    bool overlappedFor(int64_t rows)
-    {
-        return fe_.overlapEnabledFor(rows);
-    }
-
-    /** True when some pass size may run against the hand-off. */
-    bool overlapped() { return fe_.overlapEnabled(); }
-
-    /**
-     * Per-row outcomes of the pass's live detection, filled before
-     * any segment can observe them (engine-owned lifetime: valid
-     * until the next run* call). Replay passes do not populate this —
-     * their descriptors read the record's owner map instead.
-     */
-    const std::vector<McacheResult> &rowResults() const
-    {
-        return rowResults_;
-    }
-
-    /**
      * Engine-facing scratch arena: cache-aligned buffers that persist
      * across the runtime's passes (see pass_arena.hpp). The engine
-     * owns the reset cadence — reset only between its own passes,
-     * never while tasks of a running pass may still touch a taken
-     * buffer. (The runtime's internal bookkeeping uses a separate
-     * arena reset at every run* entry, so engine buffers survive
-     * run* calls.)
+     * owns the reset cadence.
      */
     PassArena &scratch() { return scratch_; }
 
-    /**
-     * The arena-backed per-pass data plane (see pass_arena.hpp): the
-     * version-slot store conv-forward HIT forwarding runs on. The
-     * engine configures it per layer call and invalidates it between
-     * channel passes; storage persists across passes.
-     */
-    PassDataPlane &dataPlane() { return plane_; }
-
-    /** Run one chained filter-pass set over the stream. */
-    DetectionResult runFilterPasses(const StreamSource &src,
-                                    const FilterPassSet &set,
-                                    ReuseStats &stats);
-
-    /** Run one row-forwarding pass over the stream. */
+    /** Run one row-forwarding pass. */
     DetectionResult runRows(const StreamSource &src, const RowPass &pass,
                             ReuseStats &stats);
 
-    /** Run one ordered-scan pass over the stream. */
+    /** Run one ordered-scan pass. */
     DetectionResult runScan(const StreamSource &src, const ScanPass &pass,
                             ReuseStats &stats);
 
   private:
     DetectionFrontend &fe_;
     int bits_;
-    std::vector<McacheResult> rowResults_;
-    PassArena arena_;   ///< runtime bookkeeping; reset at run* entry
-    PassArena scratch_; ///< engine scratch; engine-owned reset cadence
-    PassDataPlane plane_;
-    /// Reused stream-consumer chains (runFilterPasses); constructing
-    /// a SerialExecutor per filter per channel pass was measurable.
-    std::vector<std::unique_ptr<SerialExecutor>> chains_;
+    PassArena scratch_;
 
-    /** Pool a pass of `rows` runs on: null when it resolves serial. */
-    ThreadPool *passPool(int64_t rows);
-
-    /** Stream the source's blocks to `cb` (overlapped delivery). */
-    DetectionResult deliver(const StreamSource &src,
-                            const BlockConsumer &cb);
-
-    /** Size rowResults_ once from the source, before streaming. */
-    void sizeRowResults(const StreamSource &src);
-
-    /** Serial consumption: batch-detect live sources, fill results. */
-    DetectionResult consumeSerial(const StreamSource &src);
+    /** Detect a live source (empty result for a replay). */
+    DetectionResult detect(const StreamSource &src);
 
     /** Fold the pass's mix into the stats (live det / recorded). */
     void addPassStats(const StreamSource &src, const DetectionResult &det,
@@ -344,18 +206,22 @@ class ReuseRuntime
  * One pool executor's private state for whole conv channel passes.
  *
  * MERCURY clears the MCACHE when a new channel's vectors arrive
- * (§III-B3), so on a non-persistent cache every conv channel pass is
- * independent of every other — and a replayed pass (dX, dW) never
- * touches the cache at all. ConvReuseEngine therefore makes the whole
- * pass the unit of parallel work: each executor runs complete passes
- * serially on its own lane, with no pool call inside a pass, instead
- * of every pass forking and joining the pool two or three times.
+ * (§III-B3), so on a non-persistent cache without a tenant quota
+ * every conv channel pass is independent of every other — and a
+ * replayed pass (dX, dW) never touches the cache at all.
+ * ConvReuseEngine therefore makes the whole pass the unit of parallel
+ * work: each executor runs complete passes serially on its own lane,
+ * with no pool call inside a pass, instead of every pass forking and
+ * joining the pool. A forward whose passes depend on earlier ones
+ * (persistent or quota'd cache) runs the same pass body on one lane,
+ * in order on the driving thread, detecting through the frontend's
+ * own cache.
  *
  * A lane is scratch only: every field is fully rewritten by the pass
- * that uses it (the detection pass clears the cache, the data plane
- * is invalidated per filter, every row of every buffer is written
- * before it is read), so which lane runs a pass never shows in any
- * output or statistic.
+ * that uses it (the detection pass clears the lane cache, the data
+ * plane is invalidated per filter, every row of every buffer is
+ * written before it is read), so which lane runs a pass never shows
+ * in any output or statistic.
  */
 struct ConvLane
 {
@@ -384,7 +250,8 @@ class ConvLanes
      * `fe`'s pool: each executor drives one lane and claims items
      * until none are left, so a lane is never used by two threads at
      * once and there is one fork/join per call, not per pass. fn must
-     * not call into the pool. Returns the lanes' summed stats (integer
+     * not call into the pool, except for a single item, which runs on
+     * the driving thread. Returns the lanes' summed stats (integer
      * sums: independent of which lane ran which item). Driving thread
      * only; lane caches take `fe`'s cache geometry.
      */
@@ -413,9 +280,8 @@ class ConvLanes
  * `stats.macsSkipped` gains da x db per HIT row (its outer product is
  * replaced by db accumulate adds, which the cycle model charges
  * separately as per-group accumulate cycles). Scheduled as a
- * ReuseRuntime ScanPass: the group sums consume the replayed hand-off
- * in stream order on the driving thread, then the outer products fan
- * out over the pool, one disjoint output row per task.
+ * ReuseRuntime ScanPass: the group sums walk the replayed rows in
+ * order, then the outer products run one output row per item.
  */
 Tensor weightGradReplay(ReuseRuntime &rt, const SignatureRecord &record,
                         const SignatureRecord::Pass &pass, const Tensor &a,

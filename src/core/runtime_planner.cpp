@@ -493,13 +493,6 @@ PlanCache::size() const
     return static_cast<int64_t>(plans_.size());
 }
 
-ConvPlanSlot *
-PlanExec::convSlot(uint64_t layer_id)
-{
-    auto it = conv.find(layer_id);
-    return it == conv.end() ? nullptr : it->second.get();
-}
-
 RowPlanSlot *
 PlanExec::rowSlot(uint64_t layer_id)
 {
@@ -524,13 +517,6 @@ buildPlanExec(
         // once per step).
         fe.resolvedPipeFor(lp.rows);
         switch (lp.desc.kind) {
-        case StepOpKind::Conv: {
-            auto slot = std::make_unique<ConvPlanSlot>();
-            slot->plan = &lp;
-            slot->runtime = std::make_unique<ReuseRuntime>(fe, sig_bits);
-            exec->conv.emplace(lp.desc.layerId, std::move(slot));
-            break;
-        }
         case StepOpKind::Dense: {
             auto slot = std::make_unique<RowPlanSlot>();
             slot->plan = &lp;

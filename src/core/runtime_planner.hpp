@@ -31,8 +31,9 @@
  *
  * Plans are immutable and shareable: a StepPlan holds no frontend or
  * cache pointers, so one PlanCache can serve every same-shape session
- * of a MercuryServer. The mutable half — persistent ReuseRuntimes and
- * row-pass scratch — lives in a per-context PlanExec built by
+ * of a MercuryServer. The mutable half — the dense and attention
+ * layers' persistent ReuseRuntimes and row-pass scratch — lives in a
+ * per-context PlanExec built by
  * buildPlanExec() and invalidated whenever the context's frontends
  * are (setPipeline / setSignatureBits / setLayerCacheProvider).
  *
@@ -159,9 +160,9 @@ struct LayerPlan
     /** Pipeline knobs resolved once per shape (satellite: the
      *  per-pass tunedPipelineFor / resolvedShards churn is hoisted
      *  here and to DetectionFrontend::resolvedPipeFor). Includes the
-     *  resolved overlap decision — pipe.overlap is On or Off here,
+     *  modeled overlap decision — pipe.overlap is On or Off here,
      *  never Auto (PipelineConfig::resolvedOverlapFor applied to this
-     *  layer's rows at compile time). */
+     *  layer's rows at compile time); the host schedule ignores it. */
     PipelineConfig pipe;
 
     /** Per-lane buffer high-water in floats of one channel pass
@@ -235,19 +236,6 @@ class PlanCache
     std::map<uint64_t, std::shared_ptr<const StepPlan>> plans_;
 };
 
-/**
- * Mutable conv execution state of one bound plan (per context): the
- * persistent ReuseRuntime the ordered forward path (persistent cache)
- * runs on. Everything else a conv pass needs is lane scratch
- * (ConvLanes), shared by every layer. One thread drives a slot at a
- * time (the same single-caller contract as the engines).
- */
-struct ConvPlanSlot
-{
-    const LayerPlan *plan = nullptr;
-    std::unique_ptr<ReuseRuntime> runtime;
-};
-
 /** Mutable row-pass execution state (dense / attention layers). */
 struct RowPlanSlot
 {
@@ -261,10 +249,8 @@ struct RowPlanSlot
 struct PlanExec
 {
     std::shared_ptr<const StepPlan> plan;
-    std::map<uint64_t, std::unique_ptr<ConvPlanSlot>> conv;
     std::map<uint64_t, std::unique_ptr<RowPlanSlot>> row;
 
-    ConvPlanSlot *convSlot(uint64_t layer_id);
     RowPlanSlot *rowSlot(uint64_t layer_id);
 };
 
@@ -336,7 +322,8 @@ std::vector<LayerShape> shapesFromStepDesc(const StepDescBuilder &desc);
 
 /**
  * Build the execution state of a compiled plan: persistent runtimes
- * over the per-layer frontends. `frontend_for(layer_id)` provisions
+ * for the dense and attention layers' frontends (conv layers run on
+ * the context's lanes and need none). `frontend_for(layer_id)` provisions
  * the layer's detection front-end (MercuryContext::frontendFor); the
  * call also primes each frontend's per-shape knob memo
  * (DetectionFrontend::resolvedPipeFor) so steady-state passes never

@@ -41,8 +41,8 @@ Conv2dLayer::forward(const Tensor &x, MercuryContext *ctx)
         ReuseStats stats;
         SignatureRecord *capture =
             ctx->capturesRecords() ? &record_ : nullptr;
-        Tensor out = engine.forward(x, weight_, bias_, spec_, stats,
-                                    capture, ctx->convPlanFor(layerId_));
+        Tensor out =
+            engine.forward(x, weight_, bias_, spec_, stats, capture);
         ctx->accumulate(stats);
         recordValid_ = capture != nullptr;
         return out;

@@ -128,14 +128,6 @@ MercuryContext::bindStepPlan(const StepDescBuilder &desc)
         });
 }
 
-ConvPlanSlot *
-MercuryContext::convPlanFor(uint64_t layer_id)
-{
-    if (!planExecution_ || !exec_)
-        return nullptr;
-    return exec_->convSlot(layer_id);
-}
-
 RowPlanSlot *
 MercuryContext::rowPlanFor(uint64_t layer_id)
 {

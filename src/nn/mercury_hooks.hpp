@@ -68,11 +68,10 @@ class MercuryContext
     /**
      * Detection-pipeline knobs the layer engines run with. Results
      * are bit-identical across knob values (the threads = 1 default
-     * is the legacy path); the knobs trade only throughput. Setting
-     * `pipe.overlap` (with threads != 1) makes every layer engine
-     * overlap detection with its filter passes via the streaming
-     * block hand-off. Setting new knobs discards the cached per-layer
-     * frontends and pool.
+     * is the legacy path); the knobs trade only throughput.
+     * `pipe.overlap` feeds the cycle model's schedule only (see
+     * PipelineConfig::overlap). Setting new knobs discards the cached
+     * per-layer frontends and pool.
      */
     const PipelineConfig &pipeline() const { return pipeline_; }
     void setPipeline(const PipelineConfig &pipe);
@@ -219,11 +218,11 @@ class MercuryContext
     void bindStepPlan(const StepDescBuilder &desc);
 
     /**
-     * The bound layer execution slot, or null when planning is off,
-     * no plan is bound, the step was unplannable, or the layer has no
-     * slot — callers fall back to the unplanned path on null.
+     * The bound row-pass execution slot of a dense or attention
+     * layer, or null when planning is off, no plan is bound, the step
+     * was unplannable, or the layer has no slot — callers fall back to
+     * the unplanned path on null. (Conv layers run on convLanes().)
      */
-    ConvPlanSlot *convPlanFor(uint64_t layer_id);
     RowPlanSlot *rowPlanFor(uint64_t layer_id);
 
     /** The bound plan (tests / benches), or null. */

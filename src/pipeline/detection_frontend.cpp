@@ -92,23 +92,6 @@ DetectionFrontend::detect(const Tensor &rows, int bits,
     return det;
 }
 
-DetectionResult
-DetectionFrontend::detectStream(const Tensor &rows, int bits,
-                                const BlockConsumer &on_block,
-                                SignatureRecord *capture, RowFiller fill)
-{
-    if (rows.rank() != 2)
-        panic("detect expects a (n, d) matrix, got ", rows.shapeStr());
-    DetectionPipeline pipeline(rpqFor(rows.dim(1)), *cache_, bits,
-                               resolvedPipeFor(rows.dim(0)), poolFor());
-    DetectionResult det =
-        pipeline.runStreaming(rows, on_block, std::move(fill));
-    if (capture)
-        capture->capturePass(det, bits, cache_->dataVersions(),
-                             cache_->entries());
-    return det;
-}
-
 DetectionFrontend::LaneView
 DetectionFrontend::laneView(int64_t rows, int64_t dim, int bits)
 {
@@ -122,18 +105,6 @@ DetectionFrontend::LaneView::detect(ShardedMCache &cache,
 {
     return DetectionPipeline(rpq_, cache, bits_, pipe_, nullptr)
         .run(rows, fill);
-}
-
-void
-DetectionFrontend::replayStream(const SignatureRecord::Pass &pass,
-                                const BlockConsumer &on_block,
-                                bool with_signatures)
-{
-    // Replay never provisions an RPQ engine or touches the cache: the
-    // recorded pass carries everything the consumer needs.
-    DetectionPipeline::replayStreaming(
-        pass, resolvedPipeFor(pass.rows).blockRows, on_block,
-        with_signatures);
 }
 
 FrontendHandle::FrontendHandle(MCache &cache, int sig_bits, uint64_t seed,

@@ -16,12 +16,11 @@
  * any block size and shard count.
  *
  * Concurrency contract: one thread drives a frontend's detection
- * passes (detect / detectStream / detectSampled) at a time — the
- * frontend fans work out internally, and nothing else touches the
- * cache while a pass runs (see ShardedMCache's access patterns). The
- * RPQ provisioning map and the lazy pool are owned by the driving
- * thread, so two threads must not run passes on one frontend
- * concurrently.
+ * passes (detect / detectSampled) at a time — the frontend fans work
+ * out internally, and nothing else touches the cache while a pass
+ * runs (see ShardedMCache's access patterns). The RPQ provisioning
+ * map and the lazy pool are owned by the driving thread, so two
+ * threads must not run passes on one frontend concurrently.
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_FRONTEND_HPP
@@ -106,19 +105,6 @@ class DetectionFrontend
                            const RowFiller &fill = {});
 
     /**
-     * Streaming form of detect(): identical result, but completed
-     * blocks are delivered to `on_block` in ascending block order
-     * while later blocks are still hashing on the pool (see
-     * DetectionPipeline::runStreaming for the ordering and lifetime
-     * contract). The callback runs on the calling thread; it may
-     * submit filter work to workerPool() but must not block on it.
-     */
-    DetectionResult detectStream(const Tensor &rows, int bits,
-                                 const BlockConsumer &on_block,
-                                 SignatureRecord *capture = nullptr,
-                                 RowFiller fill = {});
-
-    /**
      * Detection bound to this frontend's RPQ engine and per-shape
      * knobs, run inline against a caller-owned cache: the conv lane
      * path (core/reuse_runtime.hpp, ConvLanes), where each pool
@@ -166,50 +152,11 @@ class DetectionFrontend
     }
 
     /**
-     * Replay a recorded pass through the block hand-off with zero
-     * hashing or probing cycles (§III-C2): blocks are delivered
-     * ascending with the recorded hit/owner outcomes, and the MCACHE
-     * is never touched — replay is safe regardless of what later
-     * forward passes did to the cache. Same callback
-     * threading/lifetime contract as detectStream. Signatures are
-     * decoded only on request (`with_signatures`); the backward
-     * filter passes consume outcomes alone, so the default skips the
-     * rows x bits decode and DetectionBlock::sigs is null.
-     */
-    void replayStream(const SignatureRecord::Pass &pass,
-                      const BlockConsumer &on_block,
-                      bool with_signatures = false);
-
-    /**
      * The pool detection passes fan out to — shared pool if set,
      * otherwise the private pool for the configured thread knob.
-     * nullptr when the resolved thread count is 1 (inline execution);
-     * overlapped engines fall back to the serial path in that case.
+     * nullptr when the resolved thread count is 1 (inline execution).
      */
     ThreadPool *workerPool() { return poolFor(); }
-
-    /**
-     * True when some pass of this frontend may run the overlapped
-     * hand-off (mode Off rules it out; On/Auto need a pool). Use
-     * overlapEnabledFor() for the per-pass resolved decision.
-     */
-    bool overlapEnabled()
-    {
-        return pipe_.overlap != OverlapMode::Off && poolFor() != nullptr;
-    }
-
-    /**
-     * Resolved overlap decision for a pass of `rows` vectors: true
-     * iff a worker pool exists and the configured mode resolves to On
-     * for this pass size (Auto applies the threads x rows policy of
-     * PipelineConfig::resolvedOverlapFor). Engines branch on this to
-     * pick the streamed or serial path per pass.
-     */
-    bool overlapEnabledFor(int64_t rows)
-    {
-        return poolFor() != nullptr &&
-               resolvedPipeFor(rows).overlap == OverlapMode::On;
-    }
 
     /**
      * Memoized per-pass-size pipeline knobs: the auto knobs

@@ -26,20 +26,11 @@
  * tenant's quota budget) sees its signatures in the same stream
  * order.
  *
- * Besides the batch run(), the pipeline is a *streaming producer*
- * (runStreaming): completed signature/hit blocks are handed to a
- * consumer callback in ascending block order while later blocks are
- * still hashing on the pool — the software form of the paper's Fig. 8
- * overlap of signature generation with PE work. The reuse engines
- * consume this stream to start their filter passes before detection
- * of the remaining rows has finished (see docs/ARCHITECTURE.md).
- *
- * Replay (§III-C2): replayStreaming() re-delivers a recorded pass
- * (pipeline/signature_record.hpp) through the same DetectionBlock
- * hand-off — ascending block order, same lifetime contract — with
- * zero hashing or probing cycles and no MCACHE access at all. This is
- * how the backward filter passes consume the forward pass's
- * hit/owner decisions.
+ * A pass finishes detecting before its consumer computes anything
+ * (the host's one schedule, core/reuse_runtime.hpp). The paper's
+ * Fig. 8 overlap of signature generation with PE work is an
+ * accelerator property, priced by the cycle model
+ * (PipelineConfig::overlap).
  */
 
 #ifndef MERCURY_PIPELINE_DETECTION_PIPELINE_HPP
@@ -47,12 +38,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/rpq.hpp"
 #include "core/similarity_detector.hpp"
 #include "pipeline/sharded_mcache.hpp"
-#include "pipeline/signature_record.hpp"
 #include "sim/config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -80,23 +69,20 @@ struct PipelineConfig
     int threads = 1;
 
     /**
-     * Overlap detection with compute (§III-B, Fig. 8): when On, the
-     * reuse engines consume the streaming block hand-off and run
-     * their filter passes on the worker pool while later blocks are
-     * still hashing, instead of waiting for the full detection pass.
-     * Results stay bit-identical; the knob trades only wall time.
-     * Ignored (legacy run-then-filter) when no pool is available,
-     * i.e. when the resolved thread count is 1. Auto resolves per
-     * pass from threads x rows (resolvedOverlapFor): streaming pays a
-     * fixed scheduling tax, so small passes and 1–2-thread hosts run
-     * serial.
+     * Overlap of detection with compute (§III-B, Fig. 8), as the
+     * cycle model schedules the accelerator: when a layer's pass
+     * resolves On, only the part of signature generation that exceeds
+     * the layer's compute time stays on its modeled critical path.
+     * This is the modeled schedule's input only — the host always
+     * detects a pass fully before computing it, whatever the mode.
+     * Auto resolves per pass from threads x rows (resolvedOverlapFor),
+     * and the planner records the resolved value per layer.
      */
     OverlapMode overlap = OverlapMode::Off;
 
     /**
      * Rows below which Auto overlap resolves to Off: under ~4 blocks
-     * of hashing there is no stream to hide the filter work behind,
-     * and the chain/hand-off tax dominates.
+     * of hashing there is no stream to hide the filter work behind.
      */
     static constexpr int64_t kAutoOverlapMinRows = 256;
 
@@ -145,29 +131,6 @@ struct PipelineConfig
 };
 
 /**
- * One block of detection results delivered by runStreaming.
- *
- * Lifetime contract: the pointers are valid only for the duration of
- * the consumer callback — they alias pipeline-internal buffers that
- * die when runStreaming returns. A consumer that schedules
- * asynchronous work against a block (as the overlapped engines do)
- * must copy what it needs before returning from the callback.
- */
-struct DetectionBlock
-{
-    int64_t index = 0;  ///< block sequence number, delivered ascending
-    int64_t row0 = 0;   ///< first row of the block
-    int64_t row1 = 0;   ///< one past the last row
-    const Signature *sigs = nullptr;      ///< signatures of [row0, row1)
-    const McacheResult *results = nullptr; ///< outcomes of [row0, row1)
-
-    int64_t rows() const { return row1 - row0; }
-};
-
-/** Consumer of the streaming per-block hand-off. */
-using BlockConsumer = std::function<void(const DetectionBlock &)>;
-
-/**
  * Producer of the rows being detected (single-touch fused blocks):
  * when a pass is given a RowFiller, rows [row0, row1) of the row
  * tensor are materialized by calling it immediately before that
@@ -177,8 +140,8 @@ using BlockConsumer = std::function<void(const DetectionBlock &)>;
  * [row0, row1) range (disjoint ranges run concurrently on the pool)
  * and must be callable from worker threads. Every row of the tensor
  * is filled exactly once per pass, so the tensor is fully
- * materialized by the time the pass's results are delivered —
- * downstream filter passes read it as if it had been pre-extracted.
+ * materialized by the time the pass returns — downstream filter
+ * passes read it as if it had been pre-extracted.
  */
 using RowFiller = std::function<void(int64_t row0, int64_t row1)>;
 
@@ -208,46 +171,6 @@ class DetectionPipeline
      */
     DetectionResult run(const Tensor &rows,
                         const RowFiller &fill = {}) const;
-
-    /**
-     * Streaming form of run(): identical result, but completed blocks
-     * are handed to `on_block` as soon as they are hashed and probed,
-     * while later blocks are still hashing on the pool.
-     *
-     * Ordering contract: blocks are delivered in ascending block
-     * order (0, 1, 2, ...), each covering rows
-     * [index * blockRows, min(n, (index + 1) * blockRows)), and the
-     * MCACHE probe of a block happens-before its delivery. Probing is
-     * performed in global stream order on the calling thread, so
-     * every shard sees its signatures in exactly the order of the
-     * batch path — outcomes and entry ids are bit-identical to run().
-     *
-     * Threading contract: `on_block` runs on the calling thread. Only
-     * stage 1 (hashing) is fanned out to the pool; without a pool the
-     * whole pass runs inline, with delivery after each block. The
-     * consumer may submit work to the same pool, but must not block
-     * on that work from inside the callback.
-     */
-    DetectionResult runStreaming(const Tensor &rows,
-                                 const BlockConsumer &on_block,
-                                 RowFiller fill = {}) const;
-
-    /**
-     * Replay a recorded pass through the block hand-off: blocks of
-     * `block_rows` rows are delivered ascending with the recorded
-     * outcomes, exactly as a live streaming pass would deliver them —
-     * but with zero hashing or probing cycles and no MCACHE access
-     * (§III-C2). The DetectionBlock pointers alias per-block scratch
-     * buffers and die when the callback returns, the same lifetime
-     * contract as runStreaming. Signatures are decoded only when
-     * `with_signatures` is set (the backward filter passes need just
-     * the outcomes; skipping the decode saves rows x bits work per
-     * replay) — with it clear, DetectionBlock::sigs is null.
-     */
-    static void replayStreaming(const SignatureRecord::Pass &pass,
-                                int64_t block_rows,
-                                const BlockConsumer &on_block,
-                                bool with_signatures = false);
 
   private:
     const RPQEngine &rpq_;

@@ -12,13 +12,11 @@
  * bit-identical to the single-cache single-thread path. Per-shard
  * statistics merge into one HitMix.
  *
- * Thread-safety contract: the cache has no locks. Three access
- * patterns exist and none overlaps another on one shard:
+ * Thread-safety contract: the cache has no locks. Two access
+ * patterns exist and they never overlap on one shard:
  *
- *  - the batch pass (DetectionPipeline::run) runs one prober per
+ *  - the detection pass (DetectionPipeline::run) runs one prober per
  *    shard, each presenting its shard's signatures in stream order;
- *  - the streaming pass (runStreaming) probes every row in stream
- *    order on the calling thread;
  *  - lifecycle and statistics calls (clear, epochs, eviction, quota,
  *    snapshot restore, lookupMix, shard()) run between passes.
  *
@@ -87,14 +85,6 @@ class ShardedMCache
      * order (one prober per shard, or one global in-order prober).
      */
     McacheResult lookupOrInsertInSet(int set, const Signature &sig);
-
-    /** Software-prefetch a global set's lines (MCache::prefetchSet). */
-    void prefetchSet(int set) const
-    {
-        const int s = shardOfSet(set);
-        shards_[static_cast<size_t>(s)]->prefetchSet(
-            set - shardBaseSet_[static_cast<size_t>(s)]);
-    }
 
     /** Clear the tags of every shard. Between passes only. */
     void clear();

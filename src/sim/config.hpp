@@ -30,22 +30,19 @@ enum class DataflowKind
 const char *dataflowName(DataflowKind kind);
 
 /**
- * Detection/compute overlap policy (§III-B, Fig. 8). `Auto` defers
- * the decision to pass-resolution time (PipelineConfig::resolvedFor /
- * RuntimePlanner): overlap pays a fixed scheduling tax (chain tasks,
- * hand-off queue, pool wakeups), so it only wins when there are
- * enough worker threads and enough rows per pass to hide that tax —
- * small layers and 1–2-thread hosts resolve to Off (serial
- * run-then-filter), everything else to On. The resolution is a pure
- * function of (threads, rows): it is recorded in the StepPlan by the
- * planner and surfaced in bench `config` blocks. Outcomes are
- * bit-identical across all three values; the knob trades only wall
- * time.
+ * Detection/compute overlap policy of the modeled accelerator
+ * (§III-B, Fig. 8). `Auto` defers the decision to pass-resolution
+ * time (PipelineConfig::resolvedFor / RuntimePlanner): On for passes
+ * with enough worker threads and rows, Off for small layers and 1–2-
+ * thread configurations. The resolution is a pure function of
+ * (threads, rows): it is recorded in the StepPlan by the planner and
+ * surfaced in bench `config` blocks. The host's functional schedule
+ * is the same for all three values (detect, then compute).
  */
 enum class OverlapMode
 {
-    Off,  ///< serial run-then-filter
-    On,   ///< always stream (needs a worker pool to take effect)
+    Off,  ///< signature generation fully on the critical path
+    On,   ///< generation overlaps PE work
     Auto, ///< resolved per pass from threads x rows
 };
 
@@ -119,19 +116,16 @@ struct AcceleratorConfig
     int pipelineThreads = 1;
 
     /**
-     * Overlap detection with compute (§III-B, Fig. 8): signature
-     * generation streams ahead of the filter passes instead of
-     * completing before they start. Functionally, the reuse engines
-     * consume the pipeline's per-block hand-off and run filter MACs
-     * on the worker pool while later blocks are still hashing (needs
-     * pipelineThreads != 1 to take effect). In the timing model, only
-     * the portion of signature generation that exceeds the layer's
-     * compute time stays on the critical path. Hit/skip decisions and
-     * outputs are bit-identical with the knob on or off.
+     * Overlap detection with compute (§III-B, Fig. 8) in the timing
+     * model: signature generation streams ahead of the filter passes
+     * instead of completing before they start, so only the portion
+     * that exceeds the layer's compute time stays on the critical
+     * path. The functional engines are unaffected (they always detect
+     * a pass, then compute it); hit/skip decisions and outputs are the
+     * same with the knob on or off.
      *
      * OverlapMode::Auto resolves per pass from threads x rows (see
-     * the enum): wide passes on multi-core hosts stream, small passes
-     * and 1–2-thread hosts fall back to serial.
+     * the enum).
      */
     OverlapMode overlapDetection = OverlapMode::Off;
 

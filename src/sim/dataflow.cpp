@@ -182,10 +182,11 @@ rowsPerDetectionPass(const LayerShape &shape, int64_t batch)
 }
 
 /**
- * Whether the configured overlap mode streams a detection pass of
- * this shape — Auto resolves through the same threads x rows policy
- * the functional pipeline applies (PipelineConfig::resolvedOverlapFor),
- * so the modeled critical path matches the executed schedule.
+ * Whether the modeled accelerator overlaps a detection pass of this
+ * shape with its PE work (Fig. 8) — Auto resolves through the threads
+ * x rows policy of PipelineConfig::resolvedOverlapFor. This models
+ * the accelerator only: the host always detects a pass fully before
+ * computing it.
  */
 bool
 overlapsDetection(const AcceleratorConfig &config, const LayerShape &shape,

@@ -44,31 +44,38 @@ Tensor::dim(int i) const
     return shape_[i];
 }
 
-float &
+// The per-element accessors are called out of line from the engines'
+// and exact ops' inner loops, once or twice per multiply-add. Each
+// starts on a 64-byte boundary, so no placement of this object by the
+// linker can make one straddle a 32-byte code boundary, where a jump
+// or return decodes slowly on many x86 cores. With the default
+// 16-byte alignment, unrelated code changes elsewhere moved
+// served-job throughput by 25-30%.
+__attribute__((aligned(64))) float &
 Tensor::at2(int64_t i, int64_t j)
 {
     return data_[i * shape_[1] + j];
 }
 
-float
+__attribute__((aligned(64))) float
 Tensor::at2(int64_t i, int64_t j) const
 {
     return data_[i * shape_[1] + j];
 }
 
-int64_t
+__attribute__((aligned(64))) int64_t
 Tensor::offset4(int64_t n, int64_t c, int64_t h, int64_t w) const
 {
     return ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w;
 }
 
-float &
+__attribute__((aligned(64))) float &
 Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w)
 {
     return data_[offset4(n, c, h, w)];
 }
 
-float
+__attribute__((aligned(64))) float
 Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w) const
 {
     return data_[offset4(n, c, h, w)];

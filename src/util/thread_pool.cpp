@@ -158,7 +158,7 @@ ThreadPool::enqueue(Task *t)
         // sees it in its final rescan, or incremented idleWorkers_
         // first and is seen here.
         if (idleWorkers_.load(std::memory_order_seq_cst) > 0)
-            wake(false);
+            wake();
         return;
     }
     // Non-worker thread, or the owner deque is full: inject.
@@ -168,7 +168,7 @@ ThreadPool::enqueue(Task *t)
     }
     globalSize_.fetch_add(1, std::memory_order_seq_cst);
     if (idleWorkers_.load(std::memory_order_seq_cst) > 0)
-        wake(false);
+        wake();
 }
 
 void
@@ -193,34 +193,6 @@ ThreadPool::submit(std::function<void()> task)
         return;
     }
     enqueue(new Task(std::move(task)));
-}
-
-void
-ThreadPool::submitBatch(std::vector<std::function<void()>> tasks)
-{
-    if (tasks.empty())
-        return;
-    if (threads_.empty()) {
-        for (auto &task : tasks)
-            task(); // in order, matching repeated submit()
-        return;
-    }
-    if (t_worker.pool == this) {
-        // Worker: the batch lands in the caller's own deque lock-free
-        // (enqueue spills task-by-task if it fills).
-        for (auto &task : tasks)
-            enqueue(new Task(std::move(task)));
-        return;
-    }
-    const int64_t count = static_cast<int64_t>(tasks.size());
-    {
-        std::lock_guard<std::mutex> lock(globalMutex_);
-        for (auto &task : tasks)
-            global_.push_back(new Task(std::move(task)));
-    }
-    globalSize_.fetch_add(count, std::memory_order_seq_cst);
-    if (idleWorkers_.load(std::memory_order_seq_cst) > 0)
-        wake(count > 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,17 +258,14 @@ ThreadPool::hasQueuedWork() const
 }
 
 void
-ThreadPool::wake(bool all)
+ThreadPool::wake()
 {
     // Empty critical section: a worker between its idle increment and
     // its wait() holds parkMutex_, so acquiring it here means the
     // worker is either pre-recheck (and will see the work) or already
     // waiting (and will get the notify).
     { std::lock_guard<std::mutex> lock(parkMutex_); }
-    if (all)
-        ready_.notify_all();
-    else
-        ready_.notify_one();
+    ready_.notify_one();
 }
 
 void

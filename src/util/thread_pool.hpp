@@ -1,9 +1,9 @@
 /**
  * @file
  * Work-stealing worker pool used by the detection pipeline
- * (src/pipeline) and every overlapped reuse pass. The composition
- * helpers built on it (TaskGroup and SerialExecutor) live in
- * util/executors.hpp.
+ * (src/pipeline), the conv lanes (core/reuse_runtime.hpp) and the
+ * server's sessions. The FIFO chain built on it (SerialExecutor)
+ * lives in util/executors.hpp.
  *
  * Execution substrate (see docs/ARCHITECTURE.md, "Execution
  * substrate"):
@@ -46,8 +46,8 @@
  * pump in flight per chain, tasks in submission order).
  *
  * Deadlock rule: pool tasks must never block on other pool tasks
- * (TaskGroup::wait, SerialExecutor::wait, and parallelFor are for
- * non-worker threads). All submitted closures must be no-throw — a
+ * (SerialExecutor::wait and parallelFor are for non-worker
+ * threads). All submitted closures must be no-throw — a
  * failed invariant panics/aborts, it does not unwind.
  */
 
@@ -97,18 +97,6 @@ class ThreadPool
      * the task executes (unless the pool has zero workers).
      */
     void submit(std::function<void()> task);
-
-    /**
-     * Enqueue an independent group of tasks in one operation. A
-     * caller that knows its next wave of work up front (the planned
-     * execution path; the streaming pass's hash seeds) hands it over in
-     * one push — from a worker the whole batch lands in its own deque
-     * lock-free; from outside, one injection-queue lock covers the
-     * batch. Tasks of a batch may run in any order (stealing
-     * redistributes them). With no workers the tasks run inline, in
-     * order, exactly like repeated submit().
-     */
-    void submitBatch(std::vector<std::function<void()>> tasks);
 
     /**
      * Run fn(0) .. fn(items - 1) across the pool and the calling
@@ -212,7 +200,8 @@ class ThreadPool
     void enqueue(Task *t);
     /** Dekker rescan: any visible queued work? (seq_cst loads) */
     bool hasQueuedWork() const;
-    void wake(bool all);
+    /** Wake one parked worker. */
+    void wake();
     /** Run a task inline, tracking the per-thread inline depth. */
     void runInline(Task &&task);
 };

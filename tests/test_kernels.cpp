@@ -316,28 +316,6 @@ TEST(Kernels, ProjectBlockMatchesPerRowProject)
                     rpq.signatureOfRow(rows, r, 40));
 }
 
-TEST(SpanBatcher, ConsecutiveSpans)
-{
-    // rows/owners both stepping by one fuse; any break splits.
-    const std::vector<int64_t> rows = {2, 3, 4, 6, 7, 9, 10, 11, 15};
-    const std::vector<int64_t> owners = {0, 1, 2, 0, 1, 3, 4, 8, 9};
-    std::vector<std::pair<int64_t, int64_t>> spans;
-    forEachConsecutiveSpan(rows.data(), owners.data(),
-                           static_cast<int64_t>(rows.size()),
-                           [&](int64_t i0, int64_t i1) {
-                               spans.emplace_back(i0, i1);
-                           });
-    // {2,3,4}<-{0,1,2}; {6,7}<-{0,1}; {9,10}<-{3,4}; {11}<-{8}
-    // (rows 10->11 consecutive but owners 4->8 not); {15}<-{9}.
-    const std::vector<std::pair<int64_t, int64_t>> expect = {
-        {0, 3}, {3, 5}, {5, 7}, {7, 8}, {8, 9}};
-    EXPECT_EQ(expect, spans);
-
-    // Empty list: no callbacks.
-    forEachConsecutiveSpan(rows.data(), owners.data(), 0,
-                           [&](int64_t, int64_t) { FAIL(); });
-}
-
 TEST(SpanBatcher, KxSpanClipping)
 {
     // k=3, in_w=5, pad=1, stride=1: x=0 clips the left column,

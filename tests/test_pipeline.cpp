@@ -23,10 +23,8 @@
 #include "nn/mercury_hooks.hpp"
 #include "pipeline/detection_frontend.hpp"
 #include "pipeline/sharded_mcache.hpp"
-#include "util/executors.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
-#include "util/spsc_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -236,12 +234,12 @@ TEST(ShardedMCache, ShardCountClampedToSets)
 
 TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
 {
-    // The streaming pass's shape: filters forward HITs of an earlier
-    // block through the PassDataPlane (one version slot per filter,
-    // owner deposit before hit read in stream order) while the calling
-    // thread keeps probing later blocks into the same shards. The tag
-    // plane and the value plane share nothing, so this runs without
-    // locks and every HIT reads its owner's deposit.
+    // The data plane's contract: each version slot has one owner
+    // thread, which forwards HITs of an earlier block (owner deposit
+    // before hit read, in row order) while the calling thread keeps
+    // probing later blocks into the same shards. The tag plane and the
+    // value plane share nothing, so this runs without locks and every
+    // HIT reads its owner's deposit.
     constexpr int kVersions = 4;
     constexpr int64_t kFirstBlock = 128;
     ShardedMCache cache(32, 4, kVersions, 8);
@@ -259,12 +257,11 @@ TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
 
     PassDataPlane plane;
     plane.configure(cache.entries(), kVersions);
-    ThreadPool pool(3);
-    TaskGroup group(&pool);
+    std::vector<std::thread> owners;
     std::atomic<int64_t> forwarded{0};
     std::atomic<bool> mismatch{false};
     for (int ver = 0; ver < kVersions; ++ver) {
-        group.run([&, ver] {
+        owners.emplace_back([&, ver] {
             for (const McacheResult &r : probed) {
                 const float value =
                     static_cast<float>(r.entryId * kVersions + ver);
@@ -282,7 +279,8 @@ TEST(ShardedMCache, ConcurrentHitForwardingWhileFiltersInFlight)
     }
     for (int64_t i = kFirstBlock; i < rows.dim(0); ++i)
         (void)cache.lookupOrInsert(rpq.signatureOfRow(rows, i, 24));
-    group.wait();
+    for (std::thread &t : owners)
+        t.join();
 
     EXPECT_FALSE(mismatch.load());
     EXPECT_EQ(forwarded.load(), hits * kVersions);
@@ -488,64 +486,8 @@ TEST(Pipeline, MercuryContextCachesFrontendsAndMatchesLegacy)
     EXPECT_EQ(piped_stats.mix.mau, legacy_stats.mix.mau);
 }
 
-TEST(Streaming, BlocksArriveInOrderAndResultsMatchBatchPath)
-{
-    Tensor rows = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
-    PipelineConfig pipe;
-    pipe.blockRows = 48; // 500 rows -> 11 blocks, last one ragged
-    pipe.shards = 8;
-    pipe.threads = 4;
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-
-    std::vector<int64_t> order;
-    int64_t covered = 0;
-    const DetectionResult streamed = fe.detectStream(
-        rows, kBits, [&](const DetectionBlock &blk) {
-            order.push_back(blk.index);
-            // Hand-off invariants: ascending, contiguous, probed.
-            EXPECT_EQ(blk.row0, blk.index * pipe.blockRows);
-            EXPECT_EQ(blk.row1,
-                      std::min<int64_t>(rows.dim(0),
-                                        blk.row0 + pipe.blockRows));
-            EXPECT_EQ(blk.row0, covered);
-            covered = blk.row1;
-            for (int64_t r = 0; r < blk.rows(); ++r) {
-                if (blk.results[r].outcome != McacheOutcome::Mnu) {
-                    EXPECT_GE(blk.results[r].entryId, 0);
-                }
-            }
-        });
-    ASSERT_EQ(order.size(), 11u);
-    for (size_t b = 0; b < order.size(); ++b)
-        EXPECT_EQ(order[b], static_cast<int64_t>(b))
-            << "hand-off out of order";
-    EXPECT_EQ(covered, rows.dim(0));
-
-    // The streamed pass must be bit-identical to the batch pipeline
-    // and to the legacy scalar path.
-    expectIdenticalResults(streamed, fe.detect(rows, kBits));
-    expectIdenticalResults(streamed, legacyDetect(rows));
-}
-
-TEST(Streaming, InlineFallbackStreamsWithoutAPool)
-{
-    Tensor rows = prototypeVectors(130, 16, 20, 0.01f, 3, 1.0);
-    PipelineConfig pipe;
-    pipe.blockRows = 32;
-    pipe.threads = 1; // no pool: hash, probe, deliver inline per block
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
-    int64_t blocks = 0;
-    const DetectionResult streamed = fe.detectStream(
-        rows, kBits, [&](const DetectionBlock &blk) {
-            EXPECT_EQ(blk.index, blocks);
-            ++blocks;
-        });
-    EXPECT_EQ(blocks, 5);
-    expectIdenticalResults(streamed, legacyDetect(rows));
-}
-
-/** Engine outputs with overlap on vs off, all three engine types. */
-TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
+/** Engine outputs at 1 thread vs several, all three engine types. */
+TEST(ThreadCount, ConvEngineBitIdenticalAtOneAndFourThreads)
 {
     Dataset ds = makeImageDataset(2, 2, 3, 14, 13, 0.03f);
     Rng rng(14);
@@ -553,15 +495,14 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
     w.fillNormal(rng);
     ConvSpec spec;
     spec.inChannels = 3;
-    spec.outChannels = 6; // > versions: exercises the group-0 chains
-                          // AND the post-detection parallel groups
+    spec.outChannels = 6; // more filters than data versions
     spec.kernelH = spec.kernelW = 3;
     spec.pad = 1;
 
     PipelineConfig serial_pipe;
     serial_pipe.blockRows = 16;
     serial_pipe.shards = 8;
-    serial_pipe.threads = 4;
+    serial_pipe.threads = 1;
     DetectionFrontend serial_fe(kSets, kWays, 2, 16, kSeed, serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
     ReuseStats serial_stats;
@@ -569,12 +510,12 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
         serial.forward(ds.inputs, w, Tensor(), spec, serial_stats);
 
     PipelineConfig pipe = serial_pipe;
-    pipe.overlap = OverlapMode::On;
+    pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 2, 16, kSeed, pipe);
-    ConvReuseEngine overlapped(fe, 16);
+    ConvReuseEngine threaded(fe, 16);
     ReuseStats stats;
     const Tensor out =
-        overlapped.forward(ds.inputs, w, Tensor(), spec, stats);
+        threaded.forward(ds.inputs, w, Tensor(), spec, stats);
 
     EXPECT_TRUE(out == serial_out);
     EXPECT_EQ(stats.mix.hit, serial_stats.mix.hit);
@@ -584,7 +525,7 @@ TEST(Overlap, ConvEngineBitIdenticalToRunThenFilter)
     EXPECT_EQ(stats.macsTotal, serial_stats.macsTotal);
 }
 
-TEST(Overlap, FcEngineBitIdenticalToRunThenFilter)
+TEST(ThreadCount, FcEngineBitIdenticalAtOneAndFourThreads)
 {
     Tensor input = prototypeVectors(160, 20, 24, 0.005f, 15);
     Rng rng(16);
@@ -601,13 +542,12 @@ TEST(Overlap, FcEngineBitIdenticalToRunThenFilter)
     PipelineConfig pipe;
     pipe.blockRows = 16;
     pipe.shards = 4;
-    pipe.threads = 3;
-    pipe.overlap = OverlapMode::On;
+    pipe.threads = 4;
     DetectionFrontend fe(kSets, kWays, 1, 24, kSeed, pipe);
-    FcEngine overlapped(fe, 24);
+    FcEngine threaded(fe, 24);
     ReuseStats stats;
     std::vector<int64_t> owners;
-    const Tensor out = overlapped.forward(input, w, stats, &owners);
+    const Tensor out = threaded.forward(input, w, stats, &owners);
 
     EXPECT_TRUE(out == legacy_out);
     EXPECT_EQ(owners, legacy_owners);
@@ -615,7 +555,7 @@ TEST(Overlap, FcEngineBitIdenticalToRunThenFilter)
     EXPECT_EQ(stats.mix.hit, legacy_stats.mix.hit);
 }
 
-TEST(Overlap, AttentionEngineBitIdenticalToRunThenFilter)
+TEST(ThreadCount, AttentionEngineBitIdenticalAtOneAndFourThreads)
 {
     Tensor x = prototypeVectors(96, 16, 12, 0.004f, 23, 1.1);
 
@@ -628,11 +568,10 @@ TEST(Overlap, AttentionEngineBitIdenticalToRunThenFilter)
     pipe.blockRows = 8;
     pipe.shards = 4;
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, 1, 20, kSeed, pipe);
-    AttentionEngine overlapped(fe, 20);
+    AttentionEngine threaded(fe, 20);
     ReuseStats stats;
-    const Tensor out = overlapped.forward(x, stats);
+    const Tensor out = threaded.forward(x, stats);
 
     EXPECT_TRUE(out == legacy_out);
     EXPECT_EQ(stats.macsSkipped, legacy_stats.macsSkipped);
@@ -647,45 +586,64 @@ TEST(Overlap, KnobLiftsFromAcceleratorConfig)
     cfg.overlapDetection = OverlapMode::On;
     cfg.pipelineThreads = 4;
     EXPECT_EQ(PipelineConfig::fromConfig(cfg).overlap, OverlapMode::On);
-
-    // overlapEnabled needs both the knob and a pool: threads = 1
-    // resolves to inline execution, so overlap falls back to serial.
-    PipelineConfig inline_pipe = PipelineConfig::fromConfig(cfg);
-    inline_pipe.threads = 1;
-    DetectionFrontend inline_fe(kSets, kWays, 1, kMaxBits, kSeed,
-                                inline_pipe);
-    EXPECT_FALSE(inline_fe.overlapEnabled());
-    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed,
-                         PipelineConfig::fromConfig(cfg));
-    EXPECT_TRUE(fe.overlapEnabled());
 }
 
-TEST(SpscQueue, DeliversInOrderAcrossThreads)
+TEST(Overlap, ModeLeavesEveryEngineResultUnchanged)
 {
-    SpscQueue<int64_t> q;
-    constexpr int64_t kItems = 2000;
-    std::thread producer([&] {
-        for (int64_t i = 0; i < kItems; ++i)
-            q.push(i);
-        q.close();
-    });
-    int64_t expected = 0, got = -1;
-    while (q.pop(got)) {
-        ASSERT_EQ(got, expected);
-        ++expected;
+    // The overlap mode feeds the cycle model only: at 4 threads every
+    // engine's output, owner map and statistics are the same for Off,
+    // On and Auto.
+    Dataset ds = makeImageDataset(2, 2, 3, 16, 21, 0.03f);
+    Rng rng(22);
+    Tensor cw({4, 3, 3, 3});
+    cw.fillNormal(rng);
+    ConvSpec spec;
+    spec.inChannels = 3;
+    spec.outChannels = 4;
+    spec.kernelH = spec.kernelW = 3;
+    spec.pad = 1;
+    Tensor rows = prototypeVectors(300, 20, 24, 0.005f, 23);
+    Tensor fw({20, 6});
+    fw.fillNormal(rng);
+
+    struct Run
+    {
+        Tensor conv, fc, attn;
+        std::vector<int64_t> owners;
+        ReuseStats cs, fs, as;
+    };
+    const auto run = [&](OverlapMode mode) {
+        PipelineConfig pipe;
+        pipe.blockRows = 16;
+        pipe.threads = 4;
+        pipe.overlap = mode;
+        DetectionFrontend fe(kSets, kWays, 2, 24, kSeed, pipe);
+        Run r;
+        r.conv = ConvReuseEngine(fe, 16).forward(ds.inputs, cw, Tensor(),
+                                                 spec, r.cs);
+        r.fc = FcEngine(fe, 24).forward(rows, fw, r.fs, &r.owners);
+        r.attn = AttentionEngine(fe, 20).forward(rows, r.as);
+        return r;
+    };
+    const Run off = run(OverlapMode::Off);
+    ASSERT_GT(off.cs.mix.hit, 0);
+    ASSERT_GT(off.fs.mix.hit, 0);
+    for (const OverlapMode mode : {OverlapMode::On, OverlapMode::Auto}) {
+        const Run r = run(mode);
+        const char *name = overlapModeName(mode);
+        EXPECT_TRUE(r.conv == off.conv) << name;
+        EXPECT_TRUE(r.fc == off.fc) << name;
+        EXPECT_TRUE(r.attn == off.attn) << name;
+        EXPECT_EQ(r.owners, off.owners) << name;
+        for (const auto &[a, b] : {std::pair{&r.cs, &off.cs},
+                                   std::pair{&r.fs, &off.fs},
+                                   std::pair{&r.as, &off.as}}) {
+            EXPECT_EQ(a->mix.hit, b->mix.hit) << name;
+            EXPECT_EQ(a->mix.mau, b->mix.mau) << name;
+            EXPECT_EQ(a->mix.mnu, b->mix.mnu) << name;
+            EXPECT_EQ(a->macsSkipped, b->macsSkipped) << name;
+        }
     }
-    EXPECT_EQ(expected, kItems);
-    producer.join();
-    // Closed and drained: pop keeps returning false.
-    EXPECT_FALSE(q.pop(got));
-    EXPECT_FALSE(q.tryPop(got));
-}
-
-TEST(SpscQueue, PushAfterCloseDies)
-{
-    SpscQueue<int> q;
-    q.close();
-    EXPECT_DEATH(q.push(1), "closed");
 }
 
 TEST(Pipeline, ConfigKnobsLiftFromAcceleratorConfig)

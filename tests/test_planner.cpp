@@ -5,20 +5,17 @@
  * outputs, same losses, same reuse statistics as the unplanned path —
  * across every engine (conv / FC / attention), every gradient pass
  * (forward / dX / dW), every conv geometry (dense / strided / grouped
- * / depthwise), and every pipeline knob (serial, threaded, threaded +
- * overlap with cross-layer prefetch). Plus the plan-cache lifecycle
+ * / depthwise), and every pipeline knob (1 thread, 4 threads, with
+ * the modeled overlap knob off or on). Plus the plan-cache lifecycle
  * (hit / invalidation / cross-context sharing), the once-per-shape
- * knob-resolution guarantee, the batched-submit executors, and the
- * unplannable-step fallback.
+ * knob-resolution guarantee, and the unplannable-step fallback.
  *
- * The threaded + overlap golden runs double as the cross-layer
- * overlap race stress: this binary runs under the ThreadSanitizer CI
- * job.
+ * The 4-thread golden runs double as a race stress: this binary runs
+ * under the ThreadSanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -27,8 +24,6 @@
 #include "nn/attention_layer.hpp"
 #include "nn/layers.hpp"
 #include "nn/network.hpp"
-#include "util/executors.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace mercury {
@@ -190,13 +185,13 @@ TEST(PlannerGolden, ConvVariantsBitIdentical)
     }
 }
 
-TEST(PlannerGolden, ThreadedOverlapBitIdentical)
+TEST(PlannerGolden, FourThreadCornersBitIdenticalToOneThread)
 {
-    // Threaded + overlap exercises the streaming hand-off and, on the
-    // planned path, the cross-layer prefetch edge (conv1 → relu →
-    // conv2 fuses). All four knob corners must agree with the serial
-    // unplanned golden. Runs under TSan in CI: this is the
-    // cross-layer overlap race stress.
+    // Four threads, planned or unplanned, with the modeled overlap
+    // knob off or on (it changes the plan key, never the host
+    // schedule): all four corners must agree with the 1-thread
+    // unplanned golden. On the planned path conv1 → relu → conv2
+    // fuses a cross-layer edge. Runs under TSan in CI.
     const Dataset ds = images();
     const NetBuilder build = convNet(1, 1);
     const StepTrace golden =
@@ -210,8 +205,8 @@ TEST(PlannerGolden, ThreadedOverlapBitIdentical)
     } corners[] = {
         {"threads4", 4, false, false},
         {"threads4+planned", 4, false, true},
-        {"overlap4", 4, true, false},
-        {"overlap4+planned", 4, true, true},
+        {"threads4+overlap", 4, true, false},
+        {"threads4+overlap+planned", 4, true, true},
     };
     for (const auto &c : corners) {
         const StepTrace tr = runSteps(
@@ -356,7 +351,7 @@ TEST(PlannerCache, UnplannableStepFallsBack)
 {
     // An opaque op breaks shape tracking; the conv behind it makes
     // the whole step unplannable. The bind must still fast-path
-    // repeat steps, convPlanFor must return null (unplanned path),
+    // repeat steps, rowPlanFor must return null (unplanned path),
     // and results must match planning off.
     const Dataset ds = images();
     const NetBuilder build = [](Rng &rng) {
@@ -384,7 +379,6 @@ TEST(PlannerCache, UnplannableStepFallsBack)
     net->forward(ds.inputs, &ctx);
     ASSERT_NE(ctx.boundPlan(), nullptr);
     EXPECT_FALSE(ctx.boundPlan()->plannable);
-    EXPECT_EQ(ctx.convPlanFor(1), nullptr);
     EXPECT_EQ(ctx.rowPlanFor(2), nullptr);
 }
 
@@ -473,52 +467,6 @@ TEST(PlannerCompile, GeometryAndEdges)
     PlanKeyConfig cfg3 = cfg;
     cfg3.pipe.overlap = OverlapMode::On;
     EXPECT_NE(RuntimePlanner::planKey(b, cfg3), plan->key);
-}
-
-// ---- Batched submission (util) -------------------------------------
-
-TEST(PlannerExecutors, SubmitBatchRunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 100; ++i)
-        tasks.push_back([&ran] { ++ran; });
-    pool.submitBatch(std::move(tasks));
-    // Drain through a follow-up group: the pool runs FIFO per worker,
-    // so joining a full-width wave after the batch bounds the wait.
-    TaskGroup tg(&pool);
-    for (int i = 0; i < 4; ++i)
-        tg.run([] {});
-    tg.wait();
-    // The batch landed before the group's tasks in queue order, but
-    // workers race; spin briefly for the last stragglers.
-    while (ran.load() < 100) {
-    }
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(PlannerExecutors, RunBatchJoinsAndRunsInlineWithoutPool)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    TaskGroup tg(&pool);
-    tg.runBatch(64, [&ran] { ++ran; });
-    tg.wait();
-    EXPECT_EQ(ran.load(), 64);
-
-    int inline_ran = 0;
-    TaskGroup inline_tg(nullptr);
-    inline_tg.runBatch(5, [&inline_ran] { ++inline_ran; });
-    inline_tg.wait();
-    EXPECT_EQ(inline_ran, 5);
-
-    ThreadPool empty(0);
-    std::atomic<int> serial{0};
-    TaskGroup serial_tg(&empty);
-    serial_tg.runBatch(7, [&serial] { ++serial; });
-    serial_tg.wait();
-    EXPECT_EQ(serial.load(), 7);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the signature-replay subsystem (§III-C2): the
- * SignatureRecord capture, the replayed block stream, the backward
- * filter passes of all three reuse engines (bit-identical to the
- * exact input gradient at zero hits, skipping exactly the forward
- * HIT rows otherwise, serial == overlapped), the weight-gradient
+ * SignatureRecord capture, the backward filter passes of all three
+ * reuse engines (bit-identical to the exact input gradient at zero
+ * hits, skipping exactly the forward HIT rows otherwise, 1 thread ==
+ * 4 threads), the weight-gradient
  * sum-then-multiply replay of all three engines (bit-identical to
  * the exact dW at zero hits, exact up to float-summation order
  * otherwise), the NN-layer integration behind
@@ -126,43 +126,6 @@ TEST(Record, OwnersAreEarlierComputedRows)
     }
 }
 
-TEST(Replay, StreamDeliversRecordedBlocksAscending)
-{
-    Tensor rows = duplicateRows(100, 8, 9, kSeed + 2);
-    PipelineConfig pipe;
-    pipe.blockRows = 32;
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
-    SignatureRecord record;
-    fe.detect(rows, 16, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    int64_t next_row = 0, next_index = 0;
-    fe.replayStream(
-        pass,
-        [&](const DetectionBlock &blk) {
-            EXPECT_EQ(blk.index, next_index++);
-            EXPECT_EQ(blk.row0, next_row);
-            next_row = blk.row1;
-            for (int64_t i = blk.row0; i < blk.row1; ++i) {
-                EXPECT_EQ(blk.results[i - blk.row0].outcome,
-                          pass.outcome(i));
-                EXPECT_EQ(blk.results[i - blk.row0].entryId,
-                          pass.entryId(i));
-                EXPECT_TRUE(blk.sigs[i - blk.row0] ==
-                            pass.signatureOf(i));
-            }
-        },
-        /*with_signatures=*/true);
-    EXPECT_EQ(next_row, pass.rows);
-
-    // The default replay skips the signature decode entirely — the
-    // backward consumers read outcomes only.
-    fe.replayStream(pass, [&](const DetectionBlock &blk) {
-        EXPECT_EQ(blk.sigs, nullptr);
-        EXPECT_NE(blk.results, nullptr);
-    });
-}
-
 // ---------------------------------------------------------------------
 // Conv backward replay
 // ---------------------------------------------------------------------
@@ -272,7 +235,7 @@ TEST(ConvBackward, SkipsExactlyTheForwardHitRows)
     EXPECT_TRUE(gin == gin2);
 }
 
-TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
+TEST(ConvBackward, FourThreadReplayBitIdenticalToOneThread)
 {
     Tensor in = similarInput(1, 6, 10, 10, 1e-3f, 91);
     Rng rng(92);
@@ -288,25 +251,24 @@ TEST(ConvBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, 16);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    ConvReuseEngine threaded(threaded_fe, 16);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     const Tensor out_s = serial.forward(in, w, Tensor(), spec, fs, &rs);
     const Tensor out_o =
-        overlapped.forward(in, w, Tensor(), spec, fo, &ro);
+        threaded.forward(in, w, Tensor(), spec, fo, &ro);
     ASSERT_TRUE(out_s == out_o)
-        << "overlapped forward with capture must stay bit-identical";
+        << "4-thread forward with capture must stay bit-identical";
     ASSERT_EQ(rs.passCount(), ro.passCount());
 
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, spec, 10, 10, rs, bs);
-    Tensor go = overlapped.backwardInput(grad, w, spec, 10, 10, ro, bo);
+    Tensor go = threaded.backwardInput(grad, w, spec, 10, 10, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
 }
@@ -369,7 +331,7 @@ TEST(FcBackward, HitRowsReceiveTheirOwnersGradientRow)
     EXPECT_EQ(bstats.macsSkipped, fstats.macsSkipped);
 }
 
-TEST(FcBackward, OverlappedReplayBitIdenticalToSerial)
+TEST(FcBackward, FourThreadReplayBitIdenticalToOneThread)
 {
     Tensor in = duplicateRows(120, 20, 11, kSeed + 6);
     Rng rng(44);
@@ -384,21 +346,20 @@ TEST(FcBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     FcEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    FcEngine overlapped(overlap_fe, 24);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    FcEngine threaded(threaded_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, fs, nullptr, &rs);
-    overlapped.forward(in, w, fo, nullptr, &ro);
+    threaded.forward(in, w, fo, nullptr, &ro);
 
     ReuseStats bs, bo;
     Tensor gs = serial.backwardInput(grad, w, rs, bs);
-    Tensor go = overlapped.backwardInput(grad, w, ro, bo);
+    Tensor go = threaded.backwardInput(grad, w, ro, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
 }
@@ -472,7 +433,7 @@ TEST(AttentionBackward, HitRowsCopyOwnerGradientRows)
     EXPECT_GT(bstats.macsSkipped, 0u);
 }
 
-TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
+TEST(AttentionBackward, FourThreadReplayBitIdenticalToOneThread)
 {
     Tensor x = duplicateRows(48, 10, 9, kSeed + 8);
     Rng rng(53);
@@ -485,21 +446,20 @@ TEST(AttentionBackward, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     AttentionEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    AttentionEngine overlapped(overlap_fe, 24);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    AttentionEngine threaded(threaded_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(x, fs, &rs);
-    overlapped.forward(x, fo, &ro);
+    threaded.forward(x, fo, &ro);
 
     ReuseStats bs, bo;
     Tensor gs = serial.backward(x, g, rs, 0, bs);
-    Tensor go = overlapped.backward(x, g, ro, 0, bo);
+    Tensor go = threaded.backward(x, g, ro, 0, bo);
     EXPECT_TRUE(gs == go);
     EXPECT_EQ(bs.macsSkipped, bo.macsSkipped);
 }
@@ -602,7 +562,7 @@ TEST(ConvWeightGrad, SumThenMultiplyMatchesExactDwWithinTolerance)
     EXPECT_TRUE(dw == dw2);
 }
 
-TEST(ConvWeightGrad, OverlappedReplayBitIdenticalToSerial)
+TEST(ConvWeightGrad, FourThreadReplayBitIdenticalToOneThread)
 {
     Tensor in = similarInput(1, 6, 10, 10, 1e-3f, 75);
     Rng rng(76);
@@ -618,21 +578,20 @@ TEST(ConvWeightGrad, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     ConvReuseEngine serial(serial_fe, 16);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    ConvReuseEngine overlapped(overlap_fe, 16);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    ConvReuseEngine threaded(threaded_fe, 16);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, Tensor(), spec, fs, &rs);
-    overlapped.forward(in, w, Tensor(), spec, fo, &ro);
+    threaded.forward(in, w, Tensor(), spec, fo, &ro);
 
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, spec, rs, ws);
-    Tensor dov = overlapped.backwardWeights(in, grad, spec, ro, wo);
+    Tensor dov = threaded.backwardWeights(in, grad, spec, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
 }
@@ -724,7 +683,7 @@ TEST(FcWeightGrad, GroupSumsFactorThroughTheOwnersRow)
     EXPECT_EQ(wstats.macsSkipped, fstats.macsSkipped);
 }
 
-TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
+TEST(FcWeightGrad, FourThreadReplayBitIdenticalToOneThread)
 {
     Tensor in = duplicateRows(120, 20, 11, kSeed + 16);
     Rng rng(83);
@@ -739,21 +698,20 @@ TEST(FcWeightGrad, OverlappedReplayBitIdenticalToSerial)
                                 serial_pipe);
     FcEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    FcEngine overlapped(overlap_fe, 24);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    FcEngine threaded(threaded_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(in, w, fs, nullptr, &rs);
-    overlapped.forward(in, w, fo, nullptr, &ro);
+    threaded.forward(in, w, fo, nullptr, &ro);
 
     ReuseStats ws, wo;
     Tensor ds = serial.backwardWeights(in, grad, rs, ws);
-    Tensor dov = overlapped.backwardWeights(in, grad, ro, wo);
+    Tensor dov = threaded.backwardWeights(in, grad, ro, wo);
     EXPECT_TRUE(ds == dov);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
 }
@@ -813,7 +771,7 @@ TEST(AttentionWeightGrad, ProjectionGroupSumsWithinTolerance)
               static_cast<uint64_t>(fstats.mix.hit) * 8u * 8u);
 }
 
-TEST(AttentionWeightGrad, OverlappedProjectionBitIdenticalToSerial)
+TEST(AttentionWeightGrad, FourThreadProjectionBitIdenticalToOneThread)
 {
     Tensor x = duplicateRows(48, 10, 9, kSeed + 18);
 
@@ -823,21 +781,20 @@ TEST(AttentionWeightGrad, OverlappedProjectionBitIdenticalToSerial)
                                 serial_pipe);
     AttentionEngine serial(serial_fe, 24);
 
-    PipelineConfig overlap_pipe = serial_pipe;
-    overlap_pipe.threads = 4;
-    overlap_pipe.overlap = OverlapMode::On;
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 32, kSeed,
-                                 overlap_pipe);
-    AttentionEngine overlapped(overlap_fe, 24);
+    PipelineConfig threaded_pipe = serial_pipe;
+    threaded_pipe.threads = 4;
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 32, kSeed,
+                                  threaded_pipe);
+    AttentionEngine threaded(threaded_fe, 24);
 
     ReuseStats fs, fo;
     SignatureRecord rs, ro;
     serial.forward(x, fs, &rs);
-    overlapped.forward(x, fo, &ro);
+    threaded.forward(x, fo, &ro);
 
     ReuseStats ws, wo;
     Tensor ps = serial.backwardProjection(x, rs, 0, ws);
-    Tensor po = overlapped.backwardProjection(x, ro, 0, wo);
+    Tensor po = threaded.backwardProjection(x, ro, 0, wo);
     EXPECT_TRUE(ps == po);
     EXPECT_EQ(ws.macsSkipped, wo.macsSkipped);
 }
@@ -1103,7 +1060,7 @@ TEST(LayerWeightGrad, TrainingStepRunsWithBothReplayKnobs)
 
 TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
 {
-    // Several overlapped backward passes in a row over a record with
+    // Several threaded backward passes in a row over a record with
     // real hits: replay delivery on the driving thread races chain /
     // task-group consumption on the pool. Run under TSan in CI.
     Tensor in = similarInput(1, 8, 12, 12, 1e-3f, 95);
@@ -1115,9 +1072,8 @@ TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
     grad.fillNormal(rng);
 
     PipelineConfig pipe;
-    pipe.blockRows = 8; // many blocks -> many chained segments
+    pipe.blockRows = 8;
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
     ConvReuseEngine engine(fe, 16);
 
@@ -1139,10 +1095,10 @@ TEST(ReplayStress, ConcurrentConsumersOnSharedPool)
 
 TEST(ReplayStress, ConcurrentWeightGradConsumersOnSharedPool)
 {
-    // The dW twin of the stress above: group-sum chains consume the
-    // replayed stream while the per-group outer products fan out over
-    // the pool. Run under TSan and ASan+UBSan in CI — the scatter /
-    // accumulate paths are exactly where heap and ordering bugs hide.
+    // The dW twin of the stress above: (group, channel) columns are
+    // dealt to the lanes across the pool. Run under TSan and
+    // ASan+UBSan in CI — the scatter / accumulate paths are exactly
+    // where heap and ordering bugs hide.
     Tensor in = similarInput(1, 8, 12, 12, 1e-3f, 97);
     Rng rng(98);
     const ConvSpec spec = convSpec(8, 12, 3, 1, 1);
@@ -1152,9 +1108,8 @@ TEST(ReplayStress, ConcurrentWeightGradConsumersOnSharedPool)
     grad.fillNormal(rng);
 
     PipelineConfig pipe;
-    pipe.blockRows = 8; // many blocks -> many chained segments
+    pipe.blockRows = 8;
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
     ConvReuseEngine engine(fe, 16);
 

@@ -1,27 +1,24 @@
 /**
  * @file
- * Golden-equivalence suite for ReuseRuntime (core/reuse_runtime.hpp):
- * every engine pass that was ported onto the runtime — conv / FC /
- * attention x forward / backwardInput / backwardWeights|projection —
- * must produce bit-identical outputs AND statistics (mix, macsTotal,
- * macsSkipped, channelPasses) across serial, overlapped, and replay
- * scheduling; zero-hit passes must be bit-identical to the exact
- * tensor ops, including the grouped and depthwise conv descriptors
- * (the MobileNet-style workload). Also: direct scheduler-contract
- * tests (per-filter stream order, serial ascending filter order),
+ * Golden-equivalence suite for ReuseRuntime and the conv lanes
+ * (core/reuse_runtime.hpp): every engine pass — conv / FC / attention
+ * x forward / backwardInput / backwardWeights|projection — must
+ * produce bit-identical outputs AND statistics (mix, macsTotal,
+ * macsSkipped, channelPasses) at one thread and at several; zero-hit
+ * passes must be bit-identical to the exact tensor ops, including the
+ * grouped and depthwise conv descriptors (the MobileNet-style
+ * workload). Also: the row-pass contract (owners compute before their
+ * HIT rows copy), golden digests of the conv forwards whose passes
+ * depend on earlier passes (persistent and quota'd caches),
  * end-to-end training of inverted-residual blocks with all three
- * reuse passes, and a TSan stress for the sanitizer CI job.
- *
- * The pre-refactor engine behavior is pinned twice: the untouched
- * engine suites (test_reuse_engines, test_replay, test_pipeline)
- * still pass against the ported engines, and this file locks the
- * serial == overlapped == exact-op equivalences the port must keep.
+ * reuse passes, and TSan stress for the sanitizer CI job.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,7 +26,6 @@
 #include "core/conv_reuse_engine.hpp"
 #include "core/fc_engine.hpp"
 #include "core/reuse_runtime.hpp"
-#include "core/runtime_planner.hpp"
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
 #include "nn/mercury_hooks.hpp"
@@ -59,11 +55,10 @@ serialPipe()
 }
 
 PipelineConfig
-overlapPipe()
+threadedPipe()
 {
     PipelineConfig pipe = serialPipe();
     pipe.threads = 4;
-    pipe.overlap = OverlapMode::On;
     return pipe;
 }
 
@@ -127,82 +122,15 @@ expectStatsEqual(const ReuseStats &a, const ReuseStats &b,
 }
 
 // ---------------------------------------------------------------------
-// Scheduler contract: the runtime's FilterPassSet delivery discipline,
-// tested directly against a recorded pass (no engine involved).
+// Row-pass contract, tested directly against a recorded pass (no
+// engine involved).
 // ---------------------------------------------------------------------
-
-TEST(RuntimeScheduler, ChainedSegmentsCoverRowsInStreamOrderPerFilter)
-{
-    Tensor rows = duplicateRows(100, 10, 6, kSeed);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         overlapPipe());
-    SignatureRecord record;
-    fe.detect(rows, 24, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    constexpr int64_t kFilters = 6;
-    std::vector<std::vector<int64_t>> starts(kFilters);
-    std::vector<int64_t> covered(kFilters, 0);
-
-    ReuseRuntime rt(fe, 24);
-    ReuseRuntime::FilterPassSet set;
-    set.rows = pass.rows;
-    set.filters = kFilters;
-    set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-        starts[static_cast<size_t>(f)].push_back(r0);
-        covered[static_cast<size_t>(f)] += r1 - r0;
-        return static_cast<uint64_t>(0);
-    };
-
-    ReuseStats stats;
-    rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
-                       stats);
-
-    // Every filter saw every row exactly once, in ascending order.
-    for (int64_t f = 0; f < kFilters; ++f) {
-        EXPECT_EQ(covered[static_cast<size_t>(f)], pass.rows) << f;
-        EXPECT_TRUE(std::is_sorted(starts[static_cast<size_t>(f)].begin(),
-                                   starts[static_cast<size_t>(f)].end()))
-            << "filter " << f << " saw blocks out of stream order";
-    }
-    // The runtime folded the recorded mix into the stats.
-    EXPECT_EQ(stats.mix.vectors, pass.mix.vectors);
-    EXPECT_EQ(stats.channelPasses, 1);
-}
-
-TEST(RuntimeScheduler, SerialModeRunsFiltersInAscendingOrderOverAllRows)
-{
-    Tensor rows = duplicateRows(48, 8, 5, kSeed + 1);
-    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         serialPipe());
-    SignatureRecord record;
-    fe.detect(rows, 24, &record);
-    const SignatureRecord::Pass &pass = record.pass(0);
-
-    std::vector<int64_t> order;
-    ReuseRuntime rt(fe, 24);
-    ReuseRuntime::FilterPassSet set;
-    set.rows = pass.rows;
-    set.filters = 5;
-    set.segment = [&](int64_t f, int64_t r0, int64_t r1) {
-        EXPECT_EQ(r0, 0);
-        EXPECT_EQ(r1, pass.rows);
-        order.push_back(f);
-        return static_cast<uint64_t>(0);
-    };
-
-    ReuseStats stats;
-    rt.runFilterPasses(ReuseRuntime::StreamSource::replay(pass), set,
-                       stats);
-    // Each filter runs once, whole-range, in ascending order.
-    EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
-}
 
 TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 {
     Tensor rows = duplicateRows(64, 12, 4, kSeed + 2);
     DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                         overlapPipe());
+                         threadedPipe());
     SignatureRecord record;
     fe.detect(rows, 20, &record);
     const SignatureRecord::Pass &pass = record.pass(0);
@@ -241,7 +169,7 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
 }
 
 // ---------------------------------------------------------------------
-// Golden equivalence: conv — serial == overlapped outputs AND stats
+// Golden equivalence: conv — 1 thread == 4 threads, outputs AND stats
 // for forward, backwardInput, and backwardWeights, across dense,
 // strided+padded, grouped, and depthwise geometries.
 // ---------------------------------------------------------------------
@@ -256,7 +184,7 @@ class RuntimeConvGolden : public ::testing::TestWithParam<ConvCase>
 {
 };
 
-TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
+TEST_P(RuntimeConvGolden, OneThreadEqualsFourThreadsAllThreePasses)
 {
     const ConvCase &tc = GetParam();
     const ConvSpec spec =
@@ -273,15 +201,15 @@ TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 20, kSeed,
+                                  threadedPipe());
     ConvReuseEngine serial(serial_fe, 16);
-    ConvReuseEngine overlap(overlap_fe, 16);
+    ConvReuseEngine threaded(threaded_fe, 16);
 
     ReuseStats sf, of;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(in, w, bias, spec, sf, &srec);
-    Tensor yo = overlap.forward(in, w, bias, spec, of, &orec);
+    Tensor yo = threaded.forward(in, w, bias, spec, of, &orec);
     EXPECT_TRUE(ys == yo) << tc.name << " forward, max diff "
                           << ys.maxAbsDiff(yo);
     expectStatsEqual(sf, of, tc.name);
@@ -291,7 +219,7 @@ TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
     ReuseStats sb, ob;
     Tensor gs = serial.backwardInput(grad, w, spec, tc.hw, tc.hw, srec,
                                      sb);
-    Tensor go = overlap.backwardInput(grad, w, spec, tc.hw, tc.hw, orec,
+    Tensor go = threaded.backwardInput(grad, w, spec, tc.hw, tc.hw, orec,
                                       ob);
     EXPECT_TRUE(gs == go) << tc.name << " backwardInput, max diff "
                           << gs.maxAbsDiff(go);
@@ -299,7 +227,7 @@ TEST_P(RuntimeConvGolden, SerialEqualsOverlappedAllThreePasses)
 
     ReuseStats sw, ow_;
     Tensor dws = serial.backwardWeights(in, grad, spec, srec, sw);
-    Tensor dwo = overlap.backwardWeights(in, grad, spec, orec, ow_);
+    Tensor dwo = threaded.backwardWeights(in, grad, spec, orec, ow_);
     EXPECT_TRUE(dws == dwo) << tc.name << " backwardWeights, max diff "
                             << dws.maxAbsDiff(dwo);
     expectStatsEqual(sw, ow_, tc.name);
@@ -321,9 +249,10 @@ TEST_P(RuntimeConvGolden, ZeroHitBitIdentityToExactOps)
     Tensor grad({1, tc.cout, oh, ow});
     grad.fillNormal(rng);
 
-    for (const bool overlapped : {false, true}) {
-        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                             overlapped ? overlapPipe() : serialPipe());
+    for (const int threads : {1, 4}) {
+        PipelineConfig pipe = serialPipe();
+        pipe.threads = threads;
+        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
         ConvReuseEngine engine(fe, 32);
         ReuseStats fs;
         SignatureRecord record;
@@ -336,8 +265,7 @@ TEST_P(RuntimeConvGolden, ZeroHitBitIdentityToExactOps)
         // bit — the same contract test_reuse_engines pins.
         Tensor y_ref = conv2dForward(in, w, bias, spec);
         EXPECT_LT(y.maxAbsDiff(y_ref), 1e-5f)
-            << tc.name << (overlapped ? " overlapped" : " serial")
-            << " forward";
+            << tc.name << " threads " << threads << " forward";
 
         ReuseStats bs;
         Tensor gin = engine.backwardInput(grad, w, spec, tc.hw, tc.hw,
@@ -372,7 +300,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Golden equivalence: FC and attention.
 // ---------------------------------------------------------------------
 
-TEST(RuntimeFcGolden, SerialEqualsOverlappedAllThreePasses)
+TEST(RuntimeFcGolden, OneThreadEqualsFourThreadsAllThreePasses)
 {
     Tensor in = duplicateRows(96, 12, 9, kSeed + 30);
     Rng rng(kSeed + 31);
@@ -383,16 +311,16 @@ TEST(RuntimeFcGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 20, kSeed,
+                                  threadedPipe());
     FcEngine serial(serial_fe, 16);
-    FcEngine overlap(overlap_fe, 16);
+    FcEngine threaded(threaded_fe, 16);
 
     ReuseStats sf, of;
     std::vector<int64_t> s_owners, o_owners;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(in, w, sf, &s_owners, &srec);
-    Tensor yo = overlap.forward(in, w, of, &o_owners, &orec);
+    Tensor yo = threaded.forward(in, w, of, &o_owners, &orec);
     EXPECT_TRUE(ys == yo) << "fc forward";
     EXPECT_EQ(s_owners, o_owners) << "owner maps must match";
     expectStatsEqual(sf, of, "fc forward");
@@ -400,13 +328,13 @@ TEST(RuntimeFcGolden, SerialEqualsOverlappedAllThreePasses)
 
     ReuseStats sb, ob;
     Tensor gs = serial.backwardInput(grad, w, srec, sb);
-    Tensor go = overlap.backwardInput(grad, w, orec, ob);
+    Tensor go = threaded.backwardInput(grad, w, orec, ob);
     EXPECT_TRUE(gs == go) << "fc backwardInput";
     expectStatsEqual(sb, ob, "fc backwardInput");
 
     ReuseStats sw, ow;
     Tensor dws = serial.backwardWeights(in, grad, srec, sw);
-    Tensor dwo = overlap.backwardWeights(in, grad, orec, ow);
+    Tensor dwo = threaded.backwardWeights(in, grad, orec, ow);
     EXPECT_TRUE(dws == dwo) << "fc backwardWeights";
     expectStatsEqual(sw, ow, "fc backwardWeights");
 }
@@ -421,9 +349,10 @@ TEST(RuntimeFcGolden, ZeroHitBitIdentityToExactOps)
     Tensor grad({64, 12});
     grad.fillNormal(rng);
 
-    for (const bool overlapped : {false, true}) {
-        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
-                             overlapped ? overlapPipe() : serialPipe());
+    for (const int threads : {1, 4}) {
+        PipelineConfig pipe = serialPipe();
+        pipe.threads = threads;
+        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
         FcEngine engine(fe, 32);
         ReuseStats fs;
         SignatureRecord record;
@@ -443,7 +372,7 @@ TEST(RuntimeFcGolden, ZeroHitBitIdentityToExactOps)
     }
 }
 
-TEST(RuntimeAttentionGolden, SerialEqualsOverlappedAllThreePasses)
+TEST(RuntimeAttentionGolden, OneThreadEqualsFourThreadsAllThreePasses)
 {
     Tensor x = duplicateRows(48, 16, 7, kSeed + 50);
     Rng rng(kSeed + 51);
@@ -452,28 +381,28 @@ TEST(RuntimeAttentionGolden, SerialEqualsOverlappedAllThreePasses)
 
     DetectionFrontend serial_fe(kSets, kWays, kVersions, 20, kSeed,
                                 serialPipe());
-    DetectionFrontend overlap_fe(kSets, kWays, kVersions, 20, kSeed,
-                                 overlapPipe());
+    DetectionFrontend threaded_fe(kSets, kWays, kVersions, 20, kSeed,
+                                  threadedPipe());
     AttentionEngine serial(serial_fe, 16);
-    AttentionEngine overlap(overlap_fe, 16);
+    AttentionEngine threaded(threaded_fe, 16);
 
     ReuseStats sf, of;
     SignatureRecord srec, orec;
     Tensor ys = serial.forward(x, sf, &srec);
-    Tensor yo = overlap.forward(x, of, &orec);
+    Tensor yo = threaded.forward(x, of, &orec);
     EXPECT_TRUE(ys == yo) << "attention forward";
     expectStatsEqual(sf, of, "attention forward");
     ASSERT_GT(sf.mix.hit, 0);
 
     ReuseStats sp, op;
     Tensor xtx_s = serial.backwardProjection(x, srec, 0, sp);
-    Tensor xtx_o = overlap.backwardProjection(x, orec, 0, op);
+    Tensor xtx_o = threaded.backwardProjection(x, orec, 0, op);
     EXPECT_TRUE(xtx_s == xtx_o) << "attention projection";
     expectStatsEqual(sp, op, "attention projection");
 
     ReuseStats sb, ob;
     Tensor gs = serial.backward(x, grad, srec, 0, sb, &xtx_s);
-    Tensor go = overlap.backward(x, grad, orec, 0, ob, &xtx_o);
+    Tensor go = threaded.backward(x, grad, orec, 0, ob, &xtx_o);
     EXPECT_TRUE(gs == go) << "attention backward";
     expectStatsEqual(sb, ob, "attention backward");
 }
@@ -484,8 +413,8 @@ TEST(RuntimeAttentionGolden, SerialEqualsOverlappedAllThreePasses)
 // 1-thread run bit for bit at any forced thread count — outputs,
 // gradients, the captured SignatureRecord, and every statistic —
 // including minibatches of one and minibatches the lane count does
-// not divide. The persistent-cache mode pins the ordered path the
-// same way. Runs under TSan in CI.
+// not divide. The persistent-cache mode (one lane, passes in order)
+// is pinned the same way. Runs under TSan in CI.
 // ---------------------------------------------------------------------
 
 /** Everything one conv layer call produces through a context. */
@@ -496,16 +425,9 @@ struct LaneRun
     ReuseStats fwd, bwd, wgrad;
 };
 
-enum class LaneMode
-{
-    Unplanned,
-    Planned,
-    Persistent, ///< ordered path (passes depend on earlier passes)
-};
-
 LaneRun
 runConvThroughContext(const ConvCase &tc, int64_t batch, int threads,
-                      LaneMode mode)
+                      bool persistent)
 {
     constexpr uint64_t kLayer = 7;
     const ConvSpec spec =
@@ -523,25 +445,15 @@ runConvThroughContext(const ConvCase &tc, int64_t batch, int threads,
     MercuryContext ctx(16, kSets, kWays, kVersions, kSeed);
     PipelineConfig pipe = serialPipe();
     pipe.threads = threads;
-    pipe.overlap = OverlapMode::On;
-    pipe.persistent = mode == LaneMode::Persistent;
+    pipe.persistent = persistent;
     ctx.setPipeline(pipe);
     ctx.setBackwardReuse(true);
     ctx.setWeightGradReuse(true);
-    ctx.setPlanExecution(mode == LaneMode::Planned);
-    ConvPlanSlot *slot = nullptr;
-    if (mode == LaneMode::Planned) {
-        StepDescBuilder desc({batch, tc.cin, tc.hw, tc.hw});
-        desc.conv(kLayer, spec);
-        ctx.bindStepPlan(desc);
-        slot = ctx.convPlanFor(kLayer);
-        EXPECT_NE(slot, nullptr);
-    }
 
     ConvReuseEngine engine(ctx.frontendFor(kLayer), ctx.signatureBits(),
                            &ctx.convLanes());
     LaneRun r;
-    r.y = engine.forward(in, w, bias, spec, r.fwd, &r.record, slot);
+    r.y = engine.forward(in, w, bias, spec, r.fwd, &r.record);
     r.dx = engine.backwardInput(grad, w, spec, tc.hw, tc.hw, r.record,
                                 r.bwd);
     r.dw = engine.backwardWeights(in, grad, spec, r.record, r.wgrad);
@@ -579,18 +491,17 @@ TEST(RuntimeLanes, EveryThreadCountMatchesOneThread)
     const struct
     {
         const char *name;
-        LaneMode mode;
+        bool persistent;
     } modes[] = {
-        {"unplanned", LaneMode::Unplanned},
-        {"planned", LaneMode::Planned},
-        {"persistent", LaneMode::Persistent},
+        {"cleared", false},
+        {"persistent", true},
     };
     // 1 image, and 5 images: not a multiple of 2, 4 or 8 lanes.
     for (const ConvCase &tc : cases) {
         for (const int64_t batch : {int64_t{1}, int64_t{5}}) {
             for (const auto &m : modes) {
                 const LaneRun ref = runConvThroughContext(tc, batch, 1,
-                                                          m.mode);
+                                                          m.persistent);
                 ASSERT_GT(ref.fwd.mix.hit, 0)
                     << tc.name << ": similar input must produce hits";
                 for (const int threads : {2, 4, 8}) {
@@ -599,7 +510,8 @@ TEST(RuntimeLanes, EveryThreadCountMatchesOneThread)
                         std::to_string(batch) + " threads " +
                         std::to_string(threads);
                     const LaneRun r =
-                        runConvThroughContext(tc, batch, threads, m.mode);
+                        runConvThroughContext(tc, batch, threads,
+                                              m.persistent);
                     EXPECT_TRUE(r.y == ref.y) << what << " forward";
                     EXPECT_TRUE(r.dx == ref.dx) << what << " dX";
                     EXPECT_TRUE(r.dw == ref.dw) << what << " dW";
@@ -634,6 +546,163 @@ TEST(RuntimeLanes, OneLanePerExecutorSharedAcrossLayers)
 }
 
 // ---------------------------------------------------------------------
+// Dependent-pass golden: on a persistent or quota'd cache a conv pass
+// depends on the passes before it, so the forward runs its passes in
+// (image, group, channel) order on the driving thread. Outputs, the
+// captured record, the replayed gradients and every statistic are
+// pinned to FNV-1a digests recorded from the previous (ReuseRuntime
+// filter-pass) implementation of this path, at 1 and at 4 threads.
+// ---------------------------------------------------------------------
+
+uint64_t
+fnv1a(uint64_t h, const void *data, size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001B3ull;
+    }
+    return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+
+uint64_t
+digestOf(const Tensor &t)
+{
+    return fnv1a(kFnvBasis, t.data(),
+                 static_cast<size_t>(t.numel()) * sizeof(float));
+}
+
+uint64_t
+digestOf(const SignatureRecord &r)
+{
+    uint64_t h = kFnvBasis;
+    for (int64_t i = 0; i < r.passCount(); ++i) {
+        const SignatureRecord::Pass &p = r.pass(i);
+        h = fnv1a(h, p.sigWords.data(), p.sigWords.size() * 8);
+        h = fnv1a(h, p.entryIds.data(), p.entryIds.size() * 4);
+        h = fnv1a(h, p.outcomes.data(), p.outcomes.size());
+    }
+    return h;
+}
+
+/** What one forward (plus its two replays) of the golden produces. */
+struct DependentDigest
+{
+    uint64_t y, record, dx, dw;
+    int64_t hit, mau, mnu, passes;
+    uint64_t fwdSkipped, dxSkipped, dwSkipped;
+};
+
+struct DependentCase
+{
+    const char *name;
+    bool persistent;
+    int64_t quota; ///< tenant-1 line quota; 0 = none
+    int forwards;  ///< consecutive forwards on one frontend
+};
+
+std::vector<DependentDigest>
+runDependentConv(const DependentCase &dc, int threads)
+{
+    const ConvSpec spec = convSpec(4, 6, 3, 1, 1, 2);
+    Tensor in = similarInput(3, 4, 8, 8, 0.02f, kSeed + 100);
+    Rng rng(kSeed + 101);
+    Tensor w({6, 2, 3, 3});
+    w.fillNormal(rng);
+    Tensor bias({6});
+    bias.fillNormal(rng);
+    Tensor grad({3, 6, 8, 8});
+    grad.fillNormal(rng);
+
+    PipelineConfig pipe = serialPipe();
+    pipe.threads = threads;
+    pipe.persistent = dc.persistent;
+    DetectionFrontend fe(kSets, kWays, kVersions, 20, kSeed, pipe);
+    if (dc.quota > 0) {
+        fe.cache().setTenantQuota(dc.quota, /*max_tenants=*/4);
+        fe.cache().setInsertTenant(1);
+    }
+    ConvReuseEngine engine(fe, 16);
+
+    std::vector<DependentDigest> out;
+    Rng perturb(kSeed + 102);
+    for (int call = 0; call < dc.forwards; ++call) {
+        if (call > 0) {
+            // A slightly moved batch: most of its rows HIT the tags
+            // the previous call left in the cache.
+            for (int64_t i = 0; i < in.numel(); ++i)
+                in[i] += 0.002f * static_cast<float>(perturb.normal());
+        }
+        ReuseStats fs, bs, ws;
+        SignatureRecord record;
+        const Tensor y = engine.forward(in, w, bias, spec, fs, &record);
+        const Tensor dx =
+            engine.backwardInput(grad, w, spec, 8, 8, record, bs);
+        const Tensor dw =
+            engine.backwardWeights(in, grad, spec, record, ws);
+        out.push_back({digestOf(y), digestOf(record), digestOf(dx),
+                       digestOf(dw), fs.mix.hit, fs.mix.mau, fs.mix.mnu,
+                       fs.channelPasses, fs.macsSkipped, bs.macsSkipped,
+                       ws.macsSkipped});
+    }
+    return out;
+}
+
+TEST(RuntimeLanes, DependentPassesMatchGoldenDigests)
+{
+    const DependentCase cases[] = {
+        {"persistent", true, 0, 2},
+        {"quota", false, 6, 1},
+        {"persistent_quota", true, 40, 1},
+    };
+    // Per case, one row per forward call. Identical at every thread
+    // count: the rows below hold at 1 and at 4 threads alike.
+    const std::vector<DependentDigest> golden[] = {
+        {{0x7127e5dd3e17a200ull, 0x809fdf3a0d2168ceull,
+          0xd2b24fb3661167d4ull, 0x6d22e52d1575333full, 718, 50, 0, 12,
+          3078, 3078, 3078},
+         {0xb0521610a8ea1229ull, 0x1638b35fd192fe4full,
+          0xba89767f8ddb1750ull, 0xb06e33b30f0f5edaull, 766, 2, 0, 12, 0,
+          0, 0}},
+        {{0x1277f294cc817bacull, 0xe28bce821ba222feull,
+          0xd2e7eec8a7714c6full, 0xc8466f68394ec926ull, 361, 72, 335, 12,
+          9747, 9747, 9747}},
+        {{0xb1933290eb995c52ull, 0xa28687ebe33ffb77ull,
+          0xdd08ec240c7ab4fbull, 0xc809e549c3803a25ull, 710, 40, 18, 12,
+          2916, 2916, 2916}},
+    };
+    for (size_t c = 0; c < std::size(cases); ++c) {
+        const DependentCase &dc = cases[c];
+        for (const int threads : {1, 4}) {
+            const std::vector<DependentDigest> got =
+                runDependentConv(dc, threads);
+            ASSERT_EQ(got.size(), golden[c].size()) << dc.name;
+            for (size_t i = 0; i < got.size(); ++i) {
+                const DependentDigest &g = got[i];
+                const DependentDigest &e = golden[c][i];
+                const std::string what = std::string(dc.name) +
+                                         " threads " +
+                                         std::to_string(threads) +
+                                         " forward " + std::to_string(i);
+                EXPECT_EQ(g.y, e.y) << what << " output";
+                EXPECT_EQ(g.record, e.record) << what << " record";
+                EXPECT_EQ(g.dx, e.dx) << what << " dX";
+                EXPECT_EQ(g.dw, e.dw) << what << " dW";
+                EXPECT_EQ(g.hit, e.hit) << what;
+                EXPECT_EQ(g.mau, e.mau) << what;
+                EXPECT_EQ(g.mnu, e.mnu) << what;
+                EXPECT_EQ(g.passes, e.passes) << what;
+                EXPECT_EQ(g.fwdSkipped, e.fwdSkipped) << what;
+                EXPECT_EQ(g.dxSkipped, e.dxSkipped) << what;
+                EXPECT_EQ(g.dwSkipped, e.dwSkipped) << what;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // End-to-end: MobileNet-style inverted residual blocks train with
 // forward + dX + dW reuse through the grouped/depthwise descriptors.
 // ---------------------------------------------------------------------
@@ -651,7 +720,7 @@ TEST(RuntimeTraining, InvertedResidualTrainsWithFullReuse)
 
     Dataset ds = makeImageDataset(16, 4, 3, 8, kSeed + 61, 0.02f);
     MercuryContext ctx(16);
-    PipelineConfig pipe = overlapPipe();
+    PipelineConfig pipe = threadedPipe();
     ctx.setPipeline(pipe);
     ctx.setBackwardReuse(true);
     ctx.setWeightGradReuse(true);
@@ -675,8 +744,8 @@ TEST(RuntimeTraining, InvertedResidualTrainsWithFullReuse)
 
 TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
 {
-    // The same inverted-residual forward under a serial context and
-    // an overlapped one must agree bit for bit (the golden engine
+    // The same inverted-residual forward under a 1-thread context and
+    // a 4-thread one must agree bit for bit (the golden engine
     // equivalences, composed through the NN layer path).
     Dataset ds = makeImageDataset(4, 4, 3, 8, kSeed + 62, 0.02f);
 
@@ -687,21 +756,21 @@ TEST(RuntimeTraining, DepthwiseReuseMatchesSerialReference)
 
     MercuryContext serial_ctx(16);
     serial_ctx.setPipeline(serialPipe());
-    MercuryContext overlap_ctx(16);
-    overlap_ctx.setPipeline(overlapPipe());
+    MercuryContext threaded_ctx(16);
+    threaded_ctx.setPipeline(threadedPipe());
 
     Tensor ya = a.forward(ds.inputs, &serial_ctx);
-    Tensor yb = b.forward(ds.inputs, &overlap_ctx);
+    Tensor yb = b.forward(ds.inputs, &threaded_ctx);
     EXPECT_TRUE(ya == yb) << "max diff " << ya.maxAbsDiff(yb);
 }
 
 // ---------------------------------------------------------------------
-// Sanitizer stress (TSan CI): hammer the overlapped scheduling of all
-// nine ported passes back to back, so chain hand-offs, TaskGroup
-// joins, and the per-filter PassDataPlane slots see real contention.
+// Sanitizer stress (TSan CI): run all nine reuse passes back to back
+// on a 4-thread frontend, so pooled detection, the conv lanes and
+// their private PassDataPlanes see real contention.
 // ---------------------------------------------------------------------
 
-TEST(RuntimeStress, OverlappedPassesBackToBack)
+TEST(RuntimeStress, ThreadedPassesBackToBack)
 {
     const ConvSpec spec = convSpec(6, 6, 3, 1, 1, 3);
     Tensor in = similarInput(1, 6, 8, 8, 0.02f, kSeed + 70);
@@ -720,7 +789,7 @@ TEST(RuntimeStress, OverlappedPassesBackToBack)
     attn_grad.fillNormal(rng);
 
     DetectionFrontend fe(kSets, kWays, kVersions, 20, kSeed,
-                         overlapPipe());
+                         threadedPipe());
     ConvReuseEngine conv(fe, 16);
     FcEngine fc(fe, 16);
     AttentionEngine attn(fe, 16);
@@ -749,18 +818,17 @@ TEST(RuntimeStress, OverlappedPassesBackToBack)
     SUCCEED();
 }
 
-TEST(RuntimeStress, SerialEqualsOverlappedUnderForcedStealing)
+TEST(RuntimeStress, OneThreadEqualsEightThreadsUnderForcedStealing)
 {
     // Forced-stealing configuration: more worker threads than the
-    // host has cores and tiny blocks, so the streaming schedule
-    // floods the work-stealing deques and thieves migrate blocks on
-    // every pass. Outputs AND statistics must stay bit-identical to
-    // the serial schedule no matter which worker ran which block —
-    // the TSan CI job runs this with stealing instrumented.
+    // host has cores and tiny blocks, so pooled detection floods the
+    // work-stealing deques and thieves migrate blocks on every pass.
+    // Outputs AND statistics must stay bit-identical to the 1-thread
+    // run no matter which worker ran which block — the TSan CI job
+    // runs this with stealing instrumented.
     PipelineConfig steal_pipe = serialPipe();
     steal_pipe.blockRows = 4; // many small blocks per pass
     steal_pipe.threads = 8;   // oversubscribes every CI host
-    steal_pipe.overlap = OverlapMode::On;
 
     const ConvSpec spec = convSpec(4, 8, 3, 1, 1, 1);
     Tensor in = similarInput(2, 4, 12, 12, 0.02f, kSeed + 80);

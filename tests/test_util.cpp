@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the util substrate: deterministic RNG, statistics,
- * table rendering, and the pool composition helpers (TaskGroup,
- * SerialExecutor) that the streaming reuse passes are built on.
+ * table rendering, the work-stealing ThreadPool and the
+ * SerialExecutor chains the server's sessions run on.
  */
 
 #include <gtest/gtest.h>
@@ -251,11 +251,9 @@ TEST(Table, CountGroupsThousands)
 }
 
 // ---------------------------------------------------------------------
-// Executors (util/executors.hpp): the ordering primitives under the
-// streaming reuse passes. SerialExecutor must run one chain's tasks
-// strictly in submission order with no overlap (the MCACHE
-// owner-before-hit discipline hangs off this); TaskGroup must join
-// everything submitted, from any thread.
+// Executors (util/executors.hpp): SerialExecutor must run one chain's
+// tasks strictly in submission order with no overlap (a session's
+// jobs run in order on one chain).
 // ---------------------------------------------------------------------
 
 TEST(SerialExecutor, RunsTasksInSubmissionOrderWithoutOverlap)
@@ -349,45 +347,6 @@ TEST(SerialExecutor, ManyChainsInterleaveButStayInternallyOrdered)
     }
 }
 
-TEST(TaskGroup, JoinsAllSubmittedTasks)
-{
-    ThreadPool pool(2);
-    TaskGroup group(&pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 100);
-    // A group is reusable after a wait.
-    group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 101);
-    // Null pool: inline execution.
-    TaskGroup inline_group(nullptr);
-    inline_group.run([&] { ran.fetch_add(1); });
-    inline_group.wait();
-    EXPECT_EQ(ran.load(), 102);
-}
-
-TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
-{
-    // The streaming pipeline's self-replenishing hash chain submits
-    // the next hash task from inside the current one; wait() must
-    // cover tasks enqueued that way too.
-    ThreadPool pool(2);
-    TaskGroup group(&pool);
-    std::atomic<int> ran{0};
-    group.run([&] {
-        ran.fetch_add(1);
-        group.run([&] {
-            ran.fetch_add(1);
-            group.run([&] { ran.fetch_add(1); });
-        });
-    });
-    group.wait();
-    EXPECT_EQ(ran.load(), 3);
-}
-
 // ---------------------------------------------------------------------
 // ThreadPool (util/thread_pool.hpp): the work-stealing substrate's
 // scheduler contracts. Stealing may reorder a pool's tasks freely but
@@ -398,34 +357,28 @@ TEST(TaskGroup, SubmitFromInsideATaskIsJoined)
 
 TEST(ThreadPool, StealingRedistributesWorkWithoutBreakingChainOrder)
 {
-    // Fan a noise wave out from inside one worker task as one batch,
-    // so the whole wave lands in that worker's own deque, and keep the
-    // spawning task busy until another worker has run part of it: the
-    // others can only reach the wave by stealing. (A wave submitted
-    // task by task runs inline whenever no peer is idle, so on a
-    // loaded host it could leave nothing to steal.) A SerialExecutor
-    // chain runs alongside; the chain contract must hold no matter
-    // which worker a stolen pump lands on. The wait for a thief is
-    // bounded, and running out of time fails the test.
+    // A spawning worker task keeps submitting noise until another
+    // worker runs one of its tasks. While every peer is busy the
+    // submits run inline; once a peer parks, a submit lands in the
+    // spawner's own deque, which the spawner cannot drain while it
+    // still runs — the others can only reach that task by stealing.
+    // A SerialExecutor chain runs alongside; the chain contract must
+    // hold no matter which worker a stolen pump lands on. The wait
+    // for a thief is bounded, and running out of time fails the test.
     constexpr int kRounds = 8;
-    constexpr int kWave = 64;
+    std::vector<int> order;
+    std::atomic<int> noise_submitted{0};
+    std::atomic<int> noise_ran{0};
+    std::atomic<int> spawners_done{0};
+    std::atomic<bool> timed_out{false};
+    // Declared after the state its tasks touch, so it drains first.
     ThreadPool pool(3);
     SerialExecutor chain(&pool);
-    TaskGroup noise(&pool);
-    std::vector<int> order;
-    std::atomic<int> noise_ran{0};
-    std::atomic<bool> timed_out{false};
     int blocks = 0;
     for (int round = 0; round < kRounds; ++round) {
-        noise.run([&] {
+        pool.submit([&] {
             const std::thread::id spawner = std::this_thread::get_id();
             auto stolen = std::make_shared<std::atomic<bool>>(false);
-            noise.runBatch(kWave, [&noise_ran, spawner, stolen] {
-                if (std::this_thread::get_id() != spawner)
-                    stolen->store(true);
-                noise_ran.fetch_add(1);
-                std::this_thread::yield();
-            });
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(10);
             while (!stolen->load()) {
@@ -433,20 +386,34 @@ TEST(ThreadPool, StealingRedistributesWorkWithoutBreakingChainOrder)
                     timed_out.store(true);
                     break;
                 }
+                noise_submitted.fetch_add(1);
+                pool.submit([&noise_ran, spawner, stolen] {
+                    if (std::this_thread::get_id() != spawner)
+                        stolen->store(true);
+                    noise_ran.fetch_add(1);
+                });
                 std::this_thread::yield();
             }
+            spawners_done.fetch_add(1);
         });
         for (int b = 0; b < 16; ++b, ++blocks)
             chain.run([&order, blocks] { order.push_back(blocks); });
-        noise.wait();
         chain.wait();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while ((spawners_done.load() != round + 1 ||
+                noise_ran.load() != noise_submitted.load()) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        ASSERT_EQ(spawners_done.load(), round + 1);
+        ASSERT_EQ(noise_ran.load(), noise_submitted.load())
+            << "noise task lost in round " << round;
     }
-    EXPECT_FALSE(timed_out.load()) << "no worker stole from the wave";
+    EXPECT_FALSE(timed_out.load()) << "no worker stole from the spawner";
     EXPECT_GT(pool.stealCount(), 0); // the sweep actually migrated work
     ASSERT_EQ(order.size(), static_cast<size_t>(blocks));
     for (int b = 0; b < blocks; ++b)
         EXPECT_EQ(order[static_cast<size_t>(b)], b);
-    EXPECT_EQ(noise_ran.load(), kRounds * kWave);
 }
 
 TEST(ThreadPool, InlineExecutionIsDepthBounded)
@@ -456,22 +423,28 @@ TEST(ThreadPool, InlineExecutionIsDepthBounded)
     // the per-thread depth budget is spent, then queues. The observed
     // nesting must stay at (outer frame + kMaxInlineDepth) and the
     // whole chain must still complete.
-    ThreadPool pool(1);
-    TaskGroup group(&pool);
+    constexpr int kTasks = 64;
     std::atomic<int> depth{0};
     std::atomic<int> max_depth{0};
-    std::atomic<int> remaining{64};
-    std::function<void()> task = [&] {
+    std::atomic<int> remaining{kTasks};
+    std::atomic<int> finished{0};
+    std::function<void()> task;
+    // Declared after the state its tasks touch, so it drains first.
+    ThreadPool pool(1);
+    task = [&] {
         const int d = depth.fetch_add(1) + 1;
         int seen = max_depth.load();
         while (d > seen && !max_depth.compare_exchange_weak(seen, d)) {
         }
         if (remaining.fetch_sub(1) > 1)
-            group.run(task);
+            pool.submit(task);
         depth.fetch_sub(1);
+        finished.fetch_add(1);
     };
-    group.run(task);
-    group.wait();
+    pool.submit(task);
+    for (int spin = 0; finished.load() != kTasks && spin < 100000; ++spin)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_EQ(finished.load(), kTasks);
     EXPECT_EQ(remaining.load(), 0);
     EXPECT_GT(max_depth.load(), 1); // inlining did engage
     EXPECT_LE(max_depth.load(), 1 + ThreadPool::kMaxInlineDepth);
@@ -568,8 +541,8 @@ TEST(ThreadPool, ParallelForJoinsItemsNotHelpers)
 TEST(ThreadPool, ParkWakeSurvivesRepeatedIdleBurstCycles)
 {
     // Alternate idle gaps (long enough for workers to park) with
-    // submitBatch bursts; every burst must be fully delivered — the
-    // Dekker park/submit handshake may never strand a wave on a
+    // bursts of outside submits; every burst must be fully delivered —
+    // the Dekker park/submit handshake may never strand a wave on a
     // parked pool.
     ThreadPool pool(3);
     std::atomic<int> ran{0};
@@ -577,10 +550,8 @@ TEST(ThreadPool, ParkWakeSurvivesRepeatedIdleBurstCycles)
     constexpr int kBurst = 48;
     for (int round = 0; round < kRounds; ++round) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        std::vector<std::function<void()>> batch;
         for (int i = 0; i < kBurst; ++i)
-            batch.push_back([&] { ran.fetch_add(1); });
-        pool.submitBatch(std::move(batch));
+            pool.submit([&] { ran.fetch_add(1); });
         const int expected = (round + 1) * kBurst;
         for (int spin = 0; ran.load() < expected && spin < 20000; ++spin)
             std::this_thread::sleep_for(std::chrono::microseconds(100));
