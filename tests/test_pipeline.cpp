@@ -145,6 +145,109 @@ TEST(Pipeline, DeterministicReruns)
     expectIdenticalResults(fresh.detect(rows, kBits), first);
 }
 
+TEST(Pipeline, RowFillerFillsEveryRowOnceAndMatchesPrefilledRows)
+{
+    // A fused pass materializes each block's rows right before it
+    // hashes them: every row is filled exactly once (disjoint ranges,
+    // also on the pool), the tensor ends fully materialized, and the
+    // result equals a pass over the pre-filled rows. 500 rows in
+    // blocks of 48 leave a ragged last block.
+    const Tensor src = prototypeVectors(500, 24, 64, 0.01f, 77, 1.2);
+    const DetectionResult ref = legacyDetect(src);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        PipelineConfig pipe;
+        pipe.blockRows = 48;
+        pipe.shards = 4;
+        pipe.threads = threads;
+        DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+        Tensor rows({src.dim(0), src.dim(1)});
+        std::vector<std::atomic<int>> fills(static_cast<size_t>(src.dim(0)));
+        for (auto &f : fills)
+            f.store(0);
+        const DetectionResult det = fe.detect(
+            rows, kBits, nullptr, [&](int64_t r0, int64_t r1) {
+                for (int64_t r = r0; r < r1; ++r) {
+                    fills[static_cast<size_t>(r)].fetch_add(1);
+                    for (int64_t j = 0; j < src.dim(1); ++j)
+                        rows.at2(r, j) = src.at2(r, j);
+                }
+            });
+        for (int64_t r = 0; r < src.dim(0); ++r)
+            ASSERT_EQ(fills[static_cast<size_t>(r)].load(), 1) << "row " << r;
+        EXPECT_TRUE(rows == src);
+        expectIdenticalResults(det, ref);
+    }
+}
+
+TEST(Pipeline, LaneViewMatchesFrontendDetectIntoAnyCache)
+{
+    // A lane view detects on the calling thread into a caller-owned
+    // cache: the cache is cleared first, so tags of an earlier pass
+    // never leak in, the frontend's own cache sees no probe, and the
+    // result equals the frontend's pass at any shard or thread count.
+    const Tensor rows = prototypeVectors(400, 24, 50, 0.01f, 78, 1.2);
+    const Tensor other = prototypeVectors(400, 24, 50, 0.01f, 79, 1.2);
+    const DetectionResult ref = legacyDetect(rows);
+    for (int threads : {1, 4}) {
+        for (int lane_shards : {1, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " lane_shards=" + std::to_string(lane_shards));
+            PipelineConfig pipe;
+            pipe.blockRows = 32;
+            pipe.shards = 4;
+            pipe.threads = threads;
+            DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+            const DetectionFrontend::LaneView view =
+                fe.laneView(rows.dim(0), rows.dim(1), kBits);
+            ShardedMCache cache(kSets, kWays, 1, lane_shards);
+            view.detect(cache, other);
+            expectIdenticalResults(view.detect(cache, rows), ref);
+            EXPECT_EQ(fe.cache().lookupMix().vectors, 0);
+            expectIdenticalResults(fe.detect(rows, kBits), ref);
+        }
+    }
+}
+
+TEST(Pipeline, LaneViewDetectsConcurrentlyIntoPrivateCaches)
+{
+    // The conv lanes' shape: one view built on the driving thread,
+    // several threads detecting through it at once, each with its own
+    // cache and rows. Every result equals the serial pass over the
+    // same rows. Runs under TSan in CI.
+    constexpr int kLanes = 4;
+    std::vector<Tensor> rows;
+    std::vector<DetectionResult> refs;
+    for (int l = 0; l < kLanes; ++l) {
+        rows.push_back(prototypeVectors(300, 24, 40, 0.01f,
+                                        static_cast<uint64_t>(90 + l),
+                                        1.2));
+        refs.push_back(legacyDetect(rows.back()));
+    }
+    PipelineConfig pipe;
+    pipe.blockRows = 32;
+    pipe.threads = 4;
+    DetectionFrontend fe(kSets, kWays, 1, kMaxBits, kSeed, pipe);
+    const DetectionFrontend::LaneView view = fe.laneView(300, 24, kBits);
+    std::vector<DetectionResult> got(kLanes);
+    std::vector<std::thread> lanes;
+    for (int l = 0; l < kLanes; ++l) {
+        lanes.emplace_back([&, l] {
+            ShardedMCache cache(kSets, kWays, 1, 1);
+            for (int rep = 0; rep < 3; ++rep)
+                got[static_cast<size_t>(l)] =
+                    view.detect(cache, rows[static_cast<size_t>(l)]);
+        });
+    }
+    for (std::thread &t : lanes)
+        t.join();
+    for (int l = 0; l < kLanes; ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        expectIdenticalResults(got[static_cast<size_t>(l)],
+                               refs[static_cast<size_t>(l)]);
+    }
+}
+
 TEST(Pipeline, BlockedProjectionMatchesScalar)
 {
     Rng rng(9);

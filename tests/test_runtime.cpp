@@ -7,9 +7,13 @@
  * macsSkipped, channelPasses) at one thread and at several; zero-hit
  * passes must be bit-identical to the exact tensor ops, including the
  * grouped and depthwise conv descriptors (the MobileNet-style
- * workload). Also: the row-pass contract (owners compute before their
- * HIT rows copy), golden digests of the conv forwards whose passes
- * depend on earlier passes (persistent and quota'd caches),
+ * workload). Also: the scheduler contracts of row and scan passes
+ * (rows in ascending order with their detection results, owners
+ * compute before their HIT rows copy, replays never touch the MCACHE,
+ * the scan before every finish item) and of ConvLanes::run (each item
+ * once, no lane shared, lane caches in the frontend's geometry),
+ * golden digests of the conv forwards whose passes depend on earlier
+ * passes (persistent and quota'd caches),
  * end-to-end training of inverted-residual blocks with all three
  * reuse passes, and TSan stress for the sanitizer CI job.
  */
@@ -19,7 +23,11 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/attention_engine.hpp"
@@ -166,6 +174,316 @@ TEST(RuntimeScheduler, RowPassForwardsAfterOwnersCompute)
         EXPECT_EQ(state[static_cast<size_t>(i)].load(), 1) << i;
     EXPECT_EQ(stats.macsSkipped,
               static_cast<uint64_t>(pass.mix.hit) * 7u);
+}
+
+TEST(RuntimeScheduler, LivePassHandsRowsTheirResultsInAscendingOrder)
+{
+    // A live pass detects first, then visits every row once, in
+    // ascending order, with that row's MCACHE result. The returned
+    // result and the captured record are those of a plain detection
+    // pass over the same rows, at one thread and at four.
+    const Tensor rows = duplicateRows(96, 12, 10, kSeed + 3);
+    for (const PipelineConfig &pipe : {serialPipe(), threadedPipe()}) {
+        SCOPED_TRACE("threads=" + std::to_string(pipe.threads));
+        DetectionFrontend ref_fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+        SignatureRecord ref_record;
+        const DetectionResult ref = ref_fe.detect(rows, 20, &ref_record);
+        ASSERT_GT(ref.mix().hit, 0);
+
+        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+        ReuseRuntime rt(fe, 20);
+        std::vector<int64_t> visited;
+        std::vector<McacheResult> seen;
+        int64_t computed = 0;
+        ReuseRuntime::RowPass rp;
+        rp.ownerOf = [&](int64_t i, const McacheResult &res) {
+            visited.push_back(i);
+            seen.push_back(res);
+            return i; // every row computes itself
+        };
+        rp.computeRow = [&](int64_t) { ++computed; };
+        rp.copyRow = [&](int64_t i, int64_t) {
+            ADD_FAILURE() << "row " << i << " copied without an owner";
+        };
+        rp.rowSkipCost = 5;
+
+        SignatureRecord record;
+        ReuseStats stats;
+        const DetectionResult det = rt.runRows(
+            ReuseRuntime::StreamSource::live(rows, &record), rp, stats);
+
+        ASSERT_EQ(visited.size(), 96u);
+        ASSERT_EQ(det.hitmap.size(), 96);
+        for (int64_t i = 0; i < 96; ++i) {
+            const size_t s = static_cast<size_t>(i);
+            EXPECT_EQ(visited[s], i);
+            EXPECT_EQ(seen[s].outcome, ref.hitmap.outcome(i)) << i;
+            EXPECT_EQ(seen[s].entryId, ref.hitmap.entryId(i)) << i;
+            EXPECT_EQ(det.hitmap.outcome(i), ref.hitmap.outcome(i)) << i;
+            EXPECT_EQ(det.hitmap.entryId(i), ref.hitmap.entryId(i)) << i;
+        }
+        EXPECT_EQ(computed, 96);
+        EXPECT_EQ(stats.macsSkipped, 0u);
+        EXPECT_EQ(stats.mix.vectors, ref.mix().vectors);
+        EXPECT_EQ(stats.mix.hit, ref.mix().hit);
+        EXPECT_EQ(stats.mix.mau, ref.mix().mau);
+        EXPECT_EQ(stats.mix.mnu, ref.mix().mnu);
+        EXPECT_EQ(stats.channelPasses, 1);
+
+        ASSERT_EQ(record.passCount(), 1);
+        const SignatureRecord::Pass &got = record.pass(0);
+        const SignatureRecord::Pass &want = ref_record.pass(0);
+        EXPECT_EQ(got.rows, want.rows);
+        EXPECT_EQ(got.sigWords, want.sigWords);
+        EXPECT_EQ(got.entryIds, want.entryIds);
+        EXPECT_EQ(got.outcomes, want.outcomes);
+    }
+}
+
+TEST(RuntimeScheduler, ReplayPassesLeaveTheCacheUntouched)
+{
+    // Replays read the record only (§III-C2): no probe reaches the
+    // MCACHE and the tags the forward left stay as they were. Rows
+    // get a default result and their owner from the record; the
+    // stats book the recorded mix once per pass.
+    const Tensor rows = duplicateRows(80, 12, 6, kSeed + 5);
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
+                         threadedPipe());
+    SignatureRecord record;
+    fe.detect(rows, 20, &record);
+    const SignatureRecord::Pass &pass = record.pass(0);
+    ASSERT_GT(pass.mix.hit, 0);
+    std::vector<int64_t> owner;
+    record.ownersOf(pass, owner);
+
+    const ShardedMCache &cache = fe.cache();
+    const HitMix probes_before = cache.lookupMix();
+    std::vector<bool> valid_before;
+    std::vector<Signature> tags_before;
+    for (int64_t e = 0; e < cache.entries(); ++e) {
+        valid_before.push_back(cache.tagValid(e));
+        if (cache.tagValid(e))
+            tags_before.push_back(cache.tagAt(e));
+    }
+
+    ReuseRuntime rt(fe, 20);
+    const McacheResult none;
+    int64_t copies = 0;
+    ReuseRuntime::RowPass rp;
+    rp.ownerOf = [&](int64_t i, const McacheResult &res) {
+        EXPECT_EQ(res.outcome, none.outcome) << i;
+        EXPECT_EQ(res.entryId, none.entryId) << i;
+        return owner[static_cast<size_t>(i)];
+    };
+    rp.computeRow = [](int64_t) {};
+    rp.copyRow = [&](int64_t, int64_t) { ++copies; };
+    rp.rowSkipCost = 3;
+    ReuseRuntime::ScanPass sp;
+    sp.scan = [](int64_t, int64_t) {};
+
+    ReuseStats stats;
+    const ReuseRuntime::StreamSource src =
+        ReuseRuntime::StreamSource::replay(pass);
+    EXPECT_EQ(rt.runRows(src, rp, stats).hitmap.size(), 0);
+    EXPECT_EQ(rt.runScan(src, sp, stats).hitmap.size(), 0);
+
+    EXPECT_EQ(copies, pass.mix.hit);
+    EXPECT_EQ(stats.macsSkipped, static_cast<uint64_t>(pass.mix.hit) * 3u);
+    EXPECT_EQ(stats.mix.hit, 2 * pass.mix.hit);
+    EXPECT_EQ(stats.mix.mau, 2 * pass.mix.mau);
+    EXPECT_EQ(stats.mix.mnu, 2 * pass.mix.mnu);
+    EXPECT_EQ(stats.channelPasses, 2);
+
+    const HitMix probes_after = cache.lookupMix();
+    EXPECT_EQ(probes_after.vectors, probes_before.vectors);
+    EXPECT_EQ(probes_after.hit, probes_before.hit);
+    EXPECT_EQ(probes_after.mau, probes_before.mau);
+    EXPECT_EQ(probes_after.mnu, probes_before.mnu);
+    size_t t = 0;
+    for (int64_t e = 0; e < cache.entries(); ++e) {
+        ASSERT_EQ(cache.tagValid(e), valid_before[static_cast<size_t>(e)])
+            << "entry " << e;
+        if (cache.tagValid(e)) {
+            EXPECT_TRUE(cache.tagAt(e) == tags_before[t++]) << "entry " << e;
+        }
+    }
+}
+
+TEST(RuntimeScheduler, ScanPassScansEveryRowBeforeAnyFinishItem)
+{
+    // A scan pass walks all rows in one ordered scan (group sums
+    // depend on every earlier row), then runs each finish item once,
+    // in ascending order — for a live source and for its replay.
+    const Tensor rows = duplicateRows(70, 12, 7, kSeed + 6);
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
+                         threadedPipe());
+    ReuseRuntime rt(fe, 20);
+    SignatureRecord record;
+
+    const auto runOnce = [&](const ReuseRuntime::StreamSource &src,
+                             const char *what) {
+        std::vector<std::pair<int64_t, int64_t>> scans;
+        std::vector<int64_t> finished;
+        ReuseRuntime::ScanPass sp;
+        sp.scan = [&](int64_t r0, int64_t r1) {
+            EXPECT_TRUE(finished.empty()) << what << ": scan after finish";
+            scans.emplace_back(r0, r1);
+        };
+        sp.finishItems = 5;
+        sp.finishItem = [&](int64_t item) {
+            EXPECT_EQ(scans.size(), 1u) << what << ": finish before scan";
+            finished.push_back(item);
+        };
+        ReuseStats stats;
+        const DetectionResult det = rt.runScan(src, sp, stats);
+        const std::vector<std::pair<int64_t, int64_t>> whole = {{0, 70}};
+        EXPECT_EQ(scans, whole) << what;
+        EXPECT_EQ(finished, (std::vector<int64_t>{0, 1, 2, 3, 4})) << what;
+        EXPECT_EQ(stats.channelPasses, 1) << what;
+        EXPECT_EQ(stats.macsSkipped, 0u) << what;
+        return std::make_pair(det.hitmap.size(), stats.mix);
+    };
+
+    const auto live =
+        runOnce(ReuseRuntime::StreamSource::live(rows, &record), "live");
+    EXPECT_EQ(live.first, 70);
+    ASSERT_EQ(record.passCount(), 1);
+    const SignatureRecord::Pass &pass = record.pass(0);
+    EXPECT_GT(pass.mix.hit, 0);
+    EXPECT_EQ(live.second.hit, pass.mix.hit);
+    EXPECT_EQ(live.second.mau, pass.mix.mau);
+    EXPECT_EQ(live.second.mnu, pass.mix.mnu);
+
+    const auto replayed =
+        runOnce(ReuseRuntime::StreamSource::replay(pass), "replay");
+    EXPECT_EQ(replayed.first, 0);
+    EXPECT_EQ(replayed.second.hit, pass.mix.hit);
+    EXPECT_EQ(replayed.second.mau, pass.mix.mau);
+    EXPECT_EQ(replayed.second.mnu, pass.mix.mnu);
+}
+
+// ---------------------------------------------------------------------
+// ConvLanes::run contract, tested directly (no engine involved).
+// ---------------------------------------------------------------------
+
+TEST(ConvLanes, EveryItemRunsOnceAndNoLaneIsShared)
+{
+    // One driver per lane claims items until none are left: each item
+    // runs exactly once, a lane never runs two items at once, no more
+    // lanes are built than executors or items, and the returned stats
+    // are the sum of every lane's share.
+    for (const int threads : {1, 2, 4, 8}) {
+        PipelineConfig pipe = serialPipe();
+        pipe.threads = threads;
+        DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed, pipe);
+        ThreadPool *pool = fe.workerPool();
+        const int64_t executors = pool ? pool->workers() + 1 : 1;
+        ConvLanes lanes;
+        for (const int64_t items : {int64_t{2}, int64_t{3}, int64_t{64}}) {
+            const std::string what = "threads " + std::to_string(threads) +
+                                     " items " + std::to_string(items);
+            std::vector<std::atomic<int>> runs(static_cast<size_t>(items));
+            for (auto &r : runs)
+                r.store(0);
+            std::mutex m;
+            std::map<const ConvLane *, int> in_flight;
+            std::atomic<bool> shared{false};
+            const ReuseStats total =
+                lanes.run(fe, items, [&](ConvLane &lane, int64_t item) {
+                    {
+                        std::lock_guard<std::mutex> lock(m);
+                        if (++in_flight[&lane] != 1)
+                            shared.store(true);
+                    }
+                    runs[static_cast<size_t>(item)].fetch_add(1);
+                    lane.stats.macsSkipped +=
+                        static_cast<uint64_t>(item) + 1;
+                    ++lane.stats.channelPasses;
+                    std::this_thread::yield();
+                    std::lock_guard<std::mutex> lock(m);
+                    --in_flight[&lane];
+                });
+            EXPECT_FALSE(shared.load()) << what << ": a lane ran two items";
+            for (int64_t i = 0; i < items; ++i)
+                EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1)
+                    << what << " item " << i;
+            EXPECT_LE(static_cast<int64_t>(in_flight.size()),
+                      std::min(executors, items))
+                << what;
+            EXPECT_EQ(lanes.count(), std::min(executors, items)) << what;
+            EXPECT_EQ(total.channelPasses, items) << what;
+            EXPECT_EQ(total.macsSkipped,
+                      static_cast<uint64_t>(items * (items + 1) / 2))
+                << what;
+        }
+    }
+}
+
+TEST(ConvLanes, SingleItemRunsOnTheDrivingThread)
+{
+    // One item — the dependent conv forward's shape — runs on the
+    // driving thread, so it may call into the pool itself: here a
+    // pooled detection pass through the frontend. Each run starts the
+    // lanes' stats from zero, and zero items run nothing.
+    DetectionFrontend fe(kSets, kWays, kVersions, 32, kSeed,
+                         threadedPipe());
+    ASSERT_NE(fe.workerPool(), nullptr);
+    const Tensor rows = duplicateRows(64, 12, 4, kSeed + 4);
+    DetectionFrontend ref_fe(kSets, kWays, kVersions, 32, kSeed,
+                             serialPipe());
+    const HitMix ref = ref_fe.detect(rows, 20).mix();
+    ASSERT_GT(ref.hit, 0);
+
+    ConvLanes lanes;
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int rep = 0; rep < 2; ++rep) {
+        int calls = 0;
+        const ReuseStats total =
+            lanes.run(fe, 1, [&](ConvLane &lane, int64_t item) {
+                ++calls;
+                EXPECT_EQ(item, 0);
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                lane.stats.mix += fe.detect(rows, 20).mix();
+                ++lane.stats.channelPasses;
+            });
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(lanes.count(), 1);
+        EXPECT_EQ(total.channelPasses, 1) << "rep " << rep;
+        EXPECT_EQ(total.mix.hit, ref.hit) << "rep " << rep;
+        EXPECT_EQ(total.mix.mau, ref.mau) << "rep " << rep;
+        EXPECT_EQ(total.mix.mnu, ref.mnu) << "rep " << rep;
+    }
+
+    const ReuseStats none = lanes.run(fe, 0, [](ConvLane &, int64_t) {
+        ADD_FAILURE() << "an item ran with zero items";
+    });
+    EXPECT_EQ(none.channelPasses, 0);
+    EXPECT_EQ(none.mix.vectors, 0);
+}
+
+TEST(ConvLanes, LaneCachesFollowTheFrontendGeometry)
+{
+    // A lane cache takes the geometry of the frontend it runs for,
+    // with one shard, and is rebuilt when a layer of another geometry
+    // runs on the same lanes.
+    PipelineConfig pipe = threadedPipe(); // 4 shards on the frontends
+    DetectionFrontend a(kSets, kWays, kVersions, 32, kSeed, pipe);
+    DetectionFrontend b(32, 8, 2, 32, kSeed, pipe);
+    ConvLanes lanes;
+    for (DetectionFrontend *fe : {&a, &b, &a}) {
+        const ShardedMCache &geom = fe->cache();
+        ASSERT_GT(geom.shardCount(), 1);
+        std::atomic<int> checked{0};
+        lanes.run(*fe, 8, [&](ConvLane &lane, int64_t) {
+            ASSERT_NE(lane.cache, nullptr);
+            EXPECT_EQ(lane.cache->sets(), geom.sets());
+            EXPECT_EQ(lane.cache->ways(), geom.ways());
+            EXPECT_EQ(lane.cache->dataVersions(), geom.dataVersions());
+            EXPECT_EQ(lane.cache->shardCount(), 1);
+            checked.fetch_add(1);
+        });
+        EXPECT_EQ(checked.load(), 8);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -451,6 +451,59 @@ TEST(ThreadPool, InlineExecutionIsDepthBounded)
     EXPECT_GT(pool.inlineRuns(), 0);
 }
 
+TEST(ThreadPool, TasksSubmittedFromInsideTasksAllRun)
+{
+    // A worker that submits from inside a task queues the new task in
+    // its own deque or runs it inline; either way a tree of nested
+    // submits must run to the last leaf. Fan-out 4 over three levels:
+    // 1 + 4 + 16 + 64 tasks.
+    constexpr int kFan = 4;
+    constexpr int kDepth = 3;
+    constexpr int kTotal = 1 + 4 + 16 + 64;
+    std::atomic<int> ran{0};
+    std::function<void(int)> node;
+    // Declared after the state its tasks touch, so it drains first.
+    ThreadPool pool(3);
+    node = [&](int level) {
+        ran.fetch_add(1);
+        if (level == kDepth)
+            return;
+        for (int i = 0; i < kFan; ++i)
+            pool.submit([&node, level] { node(level + 1); });
+    };
+    pool.submit([&node] { node(0); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (ran.load() != kTotal &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    EXPECT_EQ(ran.load(), kTotal);
+}
+
+TEST(ThreadPool, ForKnobMaterializesOnePoolPerSlot)
+{
+    // A knob that resolves to one thread runs inline (no pool); any
+    // larger one materializes a pool of threads - 1 workers (callers
+    // join every parallelFor) once, and later calls reuse it.
+    std::unique_ptr<ThreadPool> slot;
+    EXPECT_EQ(ThreadPool::forKnob(1, slot), nullptr);
+    EXPECT_EQ(slot, nullptr);
+    ThreadPool *pool = ThreadPool::forKnob(3, slot);
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool, slot.get());
+    EXPECT_EQ(pool->workers(), 2);
+    EXPECT_EQ(ThreadPool::forKnob(3, slot), pool);
+    // Explicit knobs are capped so a typo cannot exhaust OS threads;
+    // auto follows the host, clamped to [1, 16]. (Only resolved here,
+    // no pool is built at the cap.)
+    EXPECT_EQ(ThreadPool::resolveThreads(1), 1);
+    EXPECT_EQ(ThreadPool::resolveThreads(256), 256);
+    EXPECT_EQ(ThreadPool::resolveThreads(100000), 256);
+    const int automatic = ThreadPool::resolveThreads(0);
+    EXPECT_GE(automatic, 1);
+    EXPECT_LE(automatic, 16);
+}
+
 TEST(ThreadPool, NonWorkerSubmitIsAsynchronousEvenWhenSaturated)
 {
     // The serve-backpressure contract: an outside thread's submit()
